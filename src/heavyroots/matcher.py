@@ -18,13 +18,12 @@ feasibility with augmenting paths.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .roots import PredictedRoots, RootSet
-from .xnum import XComplex, XMINUS_ONE, _EXP_MAX, xadd, xdiv
+from .xnum import EXP_MAX, XComplex, XMINUS_ONE, xadd, xdiv
 from .xvec import as_arrays, relative_distance_matrix
 
 
@@ -41,7 +40,7 @@ def relative_distance(z: XComplex, w: XComplex) -> float:
     d = xadd(xdiv(z, w), XMINUS_ONE)
     if d.zero:
         return 0.0
-    if d.logmag > _EXP_MAX:
+    if d.logmag > EXP_MAX:
         return math.inf
     return math.exp(d.logmag)
 
@@ -69,22 +68,44 @@ def greedy_assignment(dist: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _perfect_matching_under(dist: np.ndarray, limit: float) -> np.ndarray | None:
-    """Row->col perfect matching using only entries <= limit, else None."""
+    """Row->col perfect matching using only entries <= limit, else None.
+
+    Kuhn's augmenting-path search, one depth-first search per row, run with
+    an explicit stack so that path length never meets the recursion limit.
+    """
     m = dist.shape[0]
     adj = dist <= limit
     match_col = np.full(m, -1, dtype=np.int64)
 
-    def try_row(i: int, visited: np.ndarray) -> bool:
-        for j in np.flatnonzero(adj[i] & ~visited):
-            visited[j] = True
-            if match_col[j] < 0 or try_row(int(match_col[j]), visited):
-                match_col[j] = i
-                return True
-        return False
+    def free_cols(i: int, visited: np.ndarray) -> list[int]:
+        return np.flatnonzero(adj[i] & ~visited).tolist()
 
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * m + 1000))
-    for i in range(m):
-        if not try_row(i, np.zeros(m, dtype=bool)):
+    for root in range(m):
+        visited = np.zeros(m, dtype=bool)
+        # frame: [row, its candidate columns, next position]; path[d] is the
+        # column through which frame d + 1 was entered
+        stack = [[root, free_cols(root, visited), 0]]
+        path: list[int] = []
+        while stack:
+            frame = stack[-1]
+            i, cols, pos = frame
+            if pos == len(cols):
+                stack.pop()
+                if path:
+                    path.pop()
+                continue
+            j = cols[pos]
+            frame[2] = pos + 1
+            visited[j] = True
+            if match_col[j] < 0:
+                match_col[j] = i
+                for d, col in enumerate(path):
+                    match_col[col] = stack[d][0]
+                break
+            path.append(j)
+            k = int(match_col[j])
+            stack.append([k, free_cols(k, visited), 0])
+        else:
             return None
     perm = np.full(m, -1, dtype=np.int64)
     for j in range(m):

@@ -5,10 +5,19 @@ method applied to raw values is meaningful.  The solver therefore works on the
 Newton polygon of the coefficients: the upper convex hull of (j, logmag c_j)
 groups the root moduli into circles, circles separated by a large radial gap
 are solved as independent blocks, and each block runs a simultaneous
-Newton-with-repulsion iteration in a locally rescaled frame where the iterates
-fit ordinary complex arithmetic.  Evaluation of the full polynomial and its
-derivative happens in log space with max-factoring, so a block's view of the
-polynomial is exact no matter how enormous the remaining coefficients are.
+Newton-with-repulsion (Ehrlich-Aberth) iteration in a locally rescaled frame
+where the iterates fit ordinary complex arithmetic.
+
+Every float is a dyadic rational, so the log-magnitudes scaled by one power of
+two are exact integers: the hull, its radii and each block's frame shifts are
+computed exactly and rounded once.  In the frame a coefficient is a complex
+mantissa times an integer power of two, and p(u), u p'(u) and sum_j |c_j||u|^j
+are summed over chunks of powers whose scales are integer exponents too.  A
+block's view of the polynomial is therefore accurate to rounding no matter how
+enormous the remaining coefficients are, in memory linear in the degree and
+the block size; terms more than e^800 below the block's own are left out.  A
+root whose last relative correction is at most tol is frozen: it still repels
+the others but is neither evaluated nor moved again (the rule MPSolve uses).
 
 Residuals are relative backward errors |p(z)| / sum_j |c_j||z|^j; a RootSet
 only reports converged = True when every residual is at or below 1e-10.
@@ -38,7 +47,15 @@ _BLOCK_GAP = 60.0  # nats between circle radii that force a block split
 _BLOCK_SPREAD = 500.0  # maximum radial extent of one block frame
 _RESIDUAL_OK = 1e-10  # converged RootSets guarantee residuals at or below this
 _RESIDUAL_STOP = 1e-11  # per-root early stop on relative backward error
-_STEP_CAP = 50.0  # a correction never exceeds e^50 times the iterate
+_STEP_MAX = math.exp(50.0)  # a correction never exceeds e^50 times the iterate
+_DEAD = 800.0  # nats below the anchor term: beyond float range, left out
+_EXP_FLOOR = -(1 << 52)  # frame exponent of a term that is left out
+_LN2 = math.log(2.0)
+_LN2_HI = 6.93147180369123816490e-01  # _LN2_HI + _LN2_LO == ln 2; k * _LN2_HI
+_LN2_LO = 1.90821492927058770002e-10  # is exact for |k| < 2**21
+_CHUNK_ROWS = 64  # powers per evaluation chunk; |uh^i| >= 2**-i stays normal
+_EVAL_ELEMS = 1 << 15  # entries (powers x points) in one evaluation chunk
+_PAIR_ELEMS = 1 << 17  # entries in one chunk of pairwise root differences
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,10 +128,31 @@ def reverse(p: Polynomial) -> Polynomial:
     return Polynomial(tuple(reversed(p.coeffs)))
 
 
-def _upper_hull(xs: list[int], ys: list[Fraction]) -> list[int]:
+def _exact_logmags(lm: np.ndarray) -> tuple[list[int | None], int]:
+    """Log-magnitudes as exact integers over one power of two.
+
+    Every float is a dyadic rational, so with k the largest binary exponent
+    needed, lm[j] == ys[j] / 2**k holds exactly; zero coefficients (lm = -inf)
+    give None.  Exact integers keep hull tests and frame shifts free of
+    rounding even at scale 1e300, where a float difference of two
+    log-magnitudes is off by whole nats.
+    """
+    fin = np.isfinite(lm)
+    mant, ex = np.frexp(np.where(fin, lm, 0.0))
+    sig = (mant * 2.0**53).astype(np.int64)  # exact: 53-bit significands
+    ex = ex.astype(np.int64) - 53
+    k = max(0, -int(ex[fin].min()))
+    ys = [
+        (s << (e + k)) if f else None
+        for s, e, f in zip(sig.tolist(), ex.tolist(), fin.tolist())
+    ]
+    return ys, k
+
+
+def _upper_hull(xs: list[int], ys: list[int]) -> list[int]:
     """Indices of the upper convex hull vertices, left to right.
 
-    The cross products are exact rationals, so the hull is the true hull of
+    The cross products are exact integers, so the hull is the true hull of
     the coefficient exponents even when those exponents are astronomically
     large and a float cross product would be all rounding noise.
     """
@@ -133,29 +171,30 @@ def _upper_hull(xs: list[int], ys: list[Fraction]) -> list[int]:
     return hull
 
 
-def _polygon_segments(p: Polynomial) -> list[tuple[Fraction, int, int]]:
+def _polygon_segments(ys: list[int | None], k: int) -> list[tuple[Fraction, int, int]]:
     """Hull segments as (modulus logmag, j_lo, j_hi), ascending in modulus.
 
-    Radii stay exact rationals: a float radius at scale 1e20 or beyond has an
-    absolute rounding error of whole nats, enough to misgroup segments into
-    blocks and to push a block's balance point out of the representable frame.
+    ys and k are the exact log-magnitudes from _exact_logmags.  Radii stay
+    exact rationals: a float radius at scale 1e20 or beyond has an absolute
+    rounding error of whole nats, enough to misgroup segments into blocks and
+    to push a block's balance point out of the representable frame.
     """
-    xs = [j for j, c in enumerate(p.coeffs) if not c.zero]
-    ys = [Fraction(p.coeffs[j].logmag) for j in xs]
     # hull positions must be the true exponents: zero coefficients leave gaps,
     # and a hull taken over compressed positions picks the wrong vertices
-    hull = _upper_hull(xs, ys)
-    segs = []
-    for t in range(len(hull) - 1):
-        a, b = hull[t], hull[t + 1]
-        j1, j2 = xs[a], xs[b]
-        segs.append(((ys[a] - ys[b]) / (j2 - j1), j1, j2))
-    return segs
+    xs = [j for j, y in enumerate(ys) if y is not None]
+    vs = [ys[j] for j in xs]
+    hull = _upper_hull(xs, vs)
+    return [
+        (Fraction(vs[a] - vs[b], (xs[b] - xs[a]) << k), xs[a], xs[b])
+        for a, b in zip(hull, hull[1:])
+    ]
 
 
 def newton_polygon_radii(p: Polynomial) -> list[tuple[float, int]]:
     """(modulus_logmag, count) per hull segment; counts sum to the degree."""
-    return [(float(r), j2 - j1) for r, j1, j2 in _polygon_segments(p)]
+    lm, _ = as_arrays(p.coeffs)
+    segs = _polygon_segments(*_exact_logmags(lm))
+    return [(float(r), j2 - j1) for r, j1, j2 in segs]
 
 
 def _split_blocks(
@@ -183,137 +222,238 @@ def _initial_iterates(segs, sigma: Fraction, t0: int) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _solve_block(lm, ph, segs, t0, tol, max_iter):
+def _frame_shift(
+    ys: list[int | None], k: int, sigma: Fraction, anchor: int
+) -> np.ndarray:
+    """ln|c_j e^(j sigma)| - ln|c_anchor e^(anchor sigma)| for every j.
+
+    ys and k are the exact log-magnitudes from _exact_logmags.  Each value is
+    formed exactly and rounded once, by one int / int division; zero
+    coefficients give -inf, and so do values below the float range.
+    """
+    sn = sigma.numerator << k
+    sd = sigma.denominator
+    den = sd << k
+    ya = ys[anchor]
+    shift = np.full(len(ys), -math.inf)
+    for j, y in enumerate(ys):
+        if y is None:
+            continue
+        num = (y - ya) * sd + (j - anchor) * sn
+        try:
+            shift[j] = num / den
+        except OverflowError:
+            shift[j] = math.inf if num > 0 else -math.inf
+    if np.any(shift == math.inf):
+        raise SaturationError("coefficient magnitudes overflow the block frame")
+    return shift
+
+
+def _frame_coefficients(shift, ph, anchor: int, alo: float, ahi: float):
+    """The block's coefficients c_j = e^(shift_j + i ph_j), scaled by powers of 2.
+
+    Returns (j0, coef, ec).  Column i of coef is for the power j = j0 + i and
+    holds the real and imaginary parts of c_j / 2**ec[i] and of j c_j /
+    2**ec[i], then |c_j| / 2**ec[i], which lies in [1, 2).  A term more than
+    _DEAD nats below the anchor term at every frame radius from e^alo to e^ahi
+    cannot reach the sums, so it is zeroed, and the columns run from the
+    first to the last term that can.
+    """
+    jrel = np.arange(shift.size) - float(anchor)
+    live = shift + np.maximum(jrel * alo, jrel * ahi) >= -_DEAD
+    j0 = int(np.argmax(live))
+    j1 = shift.size - int(np.argmax(live[::-1]))
+    live = live[j0:j1]
+    shift = np.where(live, shift[j0:j1], 0.0)
+    # e^shift = 2**ec e^rem with e^rem in [1, 2); a zeroed term gets a floor
+    # exponent, which keeps every exponent sum inside int64
+    ec = np.floor(shift / _LN2)
+    rem = (shift - ec * _LN2_HI) - ec * _LN2_LO
+    mc = np.where(live, np.exp(rem), 0.0) * np.exp(1j * ph[j0:j1])
+    ec = np.where(live, ec, _EXP_FLOOR).astype(np.int64)
+    jc = np.arange(j0, j1) * mc
+    return j0, np.stack([mc.real, mc.imag, jc.real, jc.imag, np.abs(mc)]), ec
+
+
+def _pow2(d: np.ndarray) -> np.ndarray:
+    """2.0**d for integer arrays d <= 0, built from the exponent bits; values
+    below the normal range (d < -1022) flush to zero."""
+    return ((np.maximum(d, -1023) + 1023) << 52).view(np.float64)
+
+
+def _evaluate(u: np.ndarray, coef: np.ndarray, ec: np.ndarray):
+    """Scaled sums of the frame coefficients at the points u.
+
+    With c_i the coefficient in column i of coef and j_i its power, returns
+    s0 = sum c_i u^i, s1 = sum j_i c_i u^i and s2 = sum |c_i| |u|^i: p(u),
+    u p'(u) and sum |c_j| |u|^j, each divided by u^j0 (or |u|^j0) and by one
+    power of two per point.  Both factors cancel: every use of the sums is a
+    ratio.
+
+    Powers are taken in chunks of rows: u = uh 2**e with |uh| in [0.5, 1),
+    so uh^i comes from plain multiplication without leaving the float range
+    and the exponents ec + i e are exact integers that set one scale per
+    chunk and point.  Every sum is elementwise in a fixed order (never BLAS),
+    so the result does not depend on the thread count.
+    """
+    m = u.size
+    cols = ec.size
+    rows = min(_CHUNK_ROWS, max(1, _EVAL_ELEMS // m), cols)
+    mag, e = np.frexp(np.abs(u))
+    e = e.astype(np.int64)
+    q = np.empty((rows, m), dtype=np.complex128)
+    q[0] = 1.0
+    if rows > 1:
+        uh = u * np.ldexp(1.0, -e)
+        np.cumprod(np.broadcast_to(uh, (rows - 1, m)), axis=0, out=q[1:])
+    qr, qi, qa = q.real.copy(), q.imag.copy(), np.abs(q)
+    ie = np.arange(rows, dtype=np.int64)[:, None] * e
+    acc = top = None
+    for c0 in range(0, cols, rows):
+        r = min(rows, cols - c0)
+        g = ec[c0 : c0 + r, None] + ie[:r]
+        gmax = g.max(axis=0)
+        f = _pow2(np.subtract(g, gmax, out=g))
+        cc = coef[:, c0 : c0 + r]
+        # real and imaginary parts of sum c u^i and sum j c u^i
+        re = np.einsum("ki,ij->kj", cc[:4], qr[:r] * f)
+        im = np.einsum("ki,ij->kj", cc[:4], qi[:r] * f)
+        s = np.empty((3, m), dtype=np.complex128)
+        s[0].real, s[0].imag = re[0] - im[1], im[0] + re[1]
+        s[1].real, s[1].imag = re[2] - im[3], im[2] + re[3]
+        s[2] = np.einsum("i,ij->j", cc[4], np.multiply(f, qa[:r], out=f))
+        if c0:
+            # uh^c0 = bm 2**eb e^(i c0 arg u), its exponent kept apart
+            t = c0 * np.log2(mag)
+            eb = np.floor(t)
+            bm = np.exp2(t - eb)
+            s[:2] *= bm * np.exp(1j * (c0 * np.angle(u)))
+            s[2] *= bm
+            gmax += c0 * e + eb.astype(np.int64)
+        if acc is None:
+            acc, top = s, gmax
+            continue
+        hi = np.maximum(top, gmax)
+        acc = acc * _pow2(top - hi) + s * _pow2(gmax - hi)
+        top = hi
+    return acc[0], acc[1], acc[2].real
+
+
+def _solve_block(ph, ys, k, segs, t0, tol, max_iter):
     """Iterate one block in its own frame u = z * exp(-sigma).
 
     Returns (root logmags, root phases, residuals, settled) with values in the
     original frame.
     """
-    n = lm.size - 1
-    jpow = np.arange(n + 1, dtype=np.float64)
     radii = [s[0] for s in segs]
     # roots of radially lower blocks sit near 0 in this frame; a point charge
     # there makes the update Aberth on the implicitly deflated polynomial
     # (fixed points are unchanged: the correction is zero only where p is)
     charge_below = float(segs[0][1])
-    anchor = segs[0][1]
     # The frame center is an exact rational.  A float midrange at scale 1e20+
     # carries an absolute rounding error of whole nats, which displaces the
     # in-frame balance points by the same amount -- far beyond the e^+-600
     # window once the scale passes ~1e18, making the block unsolvable.
     sigma = (min(radii) + max(radii)) / 2
-    # Term exponents are carried relative to the block's first hull vertex,
-    # formed exactly (floats are exact rationals) and rounded once.  Within
-    # the block every difference is small by construction; entries from other
-    # blocks are exponentially suppressed here, so their underflow to -inf is
-    # the correct limit, not an error.
-    base = Fraction(float(lm[anchor])) + anchor * sigma
-    shift = np.empty(n + 1)
-    for j in range(n + 1):
-        lmj = float(lm[j])
-        if not math.isfinite(lmj):
-            shift[j] = -math.inf
-            continue
-        try:
-            shift[j] = float(Fraction(lmj) + j * sigma - base)
-        except OverflowError:
-            shift[j] = math.inf if Fraction(lmj) + j * sigma > base else -math.inf
-    if np.any(shift == np.inf):
-        raise SaturationError("coefficient magnitudes overflow the block frame")
-    jrel = jpow - float(anchor)
     tol_eff = max(tol, 1.4e-14)
-    rho_lo = float(min(radii) - sigma)
-    rho_hi = float(max(radii) - sigma)
-    lo_a = math.exp(max(rho_lo - 100.0, -600.0))
-    hi_a = math.exp(min(rho_hi + 100.0, 600.0))
+    alo = max(float(min(radii) - sigma) - 100.0, -600.0)
+    ahi = min(float(max(radii) - sigma) + 100.0, 600.0)
+    lo_a = math.exp(alo)
+    hi_a = math.exp(ahi)
+    # Term exponents are carried relative to the block's first hull vertex.
+    # Within the block every difference is small by construction; terms from
+    # other blocks are exponentially suppressed here, so dropping them is the
+    # correct limit, not an error.
+    anchor = segs[0][1]
+    _, coef, ec = _frame_coefficients(
+        _frame_shift(ys, k, sigma, anchor), ph, anchor, alo, ahi
+    )
 
     u = _initial_iterates(segs, sigma, t0)
     m = u.size
-
-    def evaluate(uc):
-        alm = np.log(np.abs(uc))
-        aph = np.angle(uc)
-        # column-wise this differs from the true term exponents only by a
-        # constant (the anchor's), which cancels from every downstream
-        # difference; phases are exact as-is
-        tl = shift[:, None] + jrel[:, None] * alm[None, :]
-        tp = ph[:, None] + jpow[:, None] * aph[None, :]
-        mx = np.max(tl, axis=0)  # finite: the constant term always is
-        w = np.exp(tl - mx[None, :])
-        ct = np.cos(tp)
-        st = np.sin(tp)
-        re = np.einsum("ij,ij->j", w, ct)
-        im = np.einsum("ij,ij->j", w, st)
-        wj = w * jpow[:, None]
-        re2 = np.einsum("ij,ij->j", wj, ct)
-        im2 = np.einsum("ij,ij->j", wj, st)
-        # all downstream uses are differences in which the factored-out mx
-        # cancels exactly, so it is never added back (adding it would destroy
-        # the low-order bits whenever mx is large)
-        den = np.log(np.sum(w, axis=0))
-        pmag = np.hypot(re, im)
-        dmag = np.hypot(re2, im2)
-        with np.errstate(divide="ignore"):
-            plm = np.where(pmag > 0.0, np.log(np.maximum(pmag, 1e-300)), -np.inf)
-            dlog = np.where(dmag > 0.0, np.log(np.maximum(dmag, 1e-300)), -np.inf)
-        return alm, aph, plm, np.arctan2(im, re), dlog, np.arctan2(im2, re2), den
-
+    step = max(1, _PAIR_ELEMS // m)  # rows of pairwise differences at a time
     rel = np.full(m, np.inf)
     resid = np.full(m, np.inf)
+    # A root whose last relative correction is at most tol is frozen: it
+    # keeps repelling the others but is never evaluated or moved again.
+    frozen = np.zeros(m, dtype=bool)
+    fresh = np.zeros(m, dtype=bool)  # resid belongs to the current iterate
+
+    def evaluate(at):
+        s0, s1, s2 = _evaluate(u[at], coef, ec)
+        resid[at] = np.minimum(np.abs(s0) / s2, 1.0)
+        fresh[at] = True
+        return s0, s1
+
     for _ in range(max_iter):
-        alm, aph, plm, pph, dlog, dph2, den = evaluate(u)
-        resid = np.exp(np.minimum(plm - den, 0.0))
-        if np.all((rel <= tol_eff) | (resid <= _RESIDUAL_STOP)):
+        act = np.flatnonzero(~frozen)
+        if act.size == 0:
+            break
+        s0, s1 = evaluate(act)
+        if np.all(resid[act] <= _RESIDUAL_STOP):
             break
 
-        # Newton correction in the block frame: N_u = p(z) / p'(z) / e^sigma
-        # with p'(z) = (sum_j j c_j z^j) / z, so |N_u| = |p| |u| / |sum j c_j z^j|.
-        with np.errstate(invalid="ignore"):
-            nulm = np.where(
-                plm == -np.inf,
-                -np.inf,
-                np.minimum(plm - dlog + alm, alm + _STEP_CAP),
-            )
-        nph = pph - dph2 + aph
-        nc = np.exp(nulm) * (np.cos(nph) + 1j * np.sin(nph))
-
-        diff = u[:, None] - u[None, :]
-        np.fill_diagonal(diff, np.inf)
-        dup = np.triu(diff == 0, 1).any(axis=0)
-        if dup.any():
-            idx = np.nonzero(dup)[0]
-            u[idx] = u[idx] * np.exp(1j * 1e-9 * (idx + 1))
-            diff = u[:, None] - u[None, :]
-            np.fill_diagonal(diff, np.inf)
+        # Newton correction in the block frame: p(u) / p'(u) = u s0 / s1, at
+        # most _STEP_MAX times the iterate
         with np.errstate(divide="ignore", invalid="ignore"):
-            inv = 1.0 / diff
-        inv[~np.isfinite(inv)] = 0.0
-        repulse = inv.sum(axis=1) + charge_below / u
+            ratio = s0 / s1
+        big = ~(np.abs(ratio) <= _STEP_MAX)
+        if big.any():
+            turn = np.angle(s0[big]) - np.angle(s1[big])
+            ratio[big] = _STEP_MAX * np.exp(1j * turn)
+        ratio[s0 == 0] = 0.0
+        nc = ratio * u[act]
+
+        # an active root equal to a lower-indexed root is nudged apart: sorted
+        # by value, equal roots form runs in index order
+        order = np.lexsort((np.arange(m), u.imag, u.real))
+        su = u[order]
+        dup = order[1:][su[1:] == su[:-1]]
+        dup = dup[~frozen[dup]]
+        if dup.size:
+            u[dup] = u[dup] * np.exp(1j * 1e-9 * (dup + 1))
+        ua = u[act]
+        repulse = charge_below / ua
+        for a in range(0, act.size, step):
+            own = act[a : a + step]
+            d = ua[a : a + step, None] - u
+            d[np.arange(own.size), own] = np.inf  # the root itself adds 0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                inv = np.reciprocal(d, out=d)
+            sums = inv.sum(axis=1)
+            tied = ~np.isfinite(sums)  # equal to a root that cannot move
+            if tied.any():
+                part = inv[tied]
+                part[~np.isfinite(part)] = 0.0
+                sums[tied] = part.sum(axis=1)
+            repulse[a : a + step] += sums
 
         denom = 1.0 - nc * repulse
         bad = (denom == 0) | ~np.isfinite(denom)
         delta = nc / np.where(bad, 1.0, denom)
         delta = np.where(np.isfinite(delta), delta, nc)
 
-        newu = u - delta
+        newu = ua - delta
         anorm = np.abs(newu)
         newu = np.where(anorm == 0.0, 1e-300 + 0j, newu)
         anorm = np.abs(newu)
-        scale = np.clip(anorm, lo_a, hi_a) / anorm
-        newu = newu * scale
-        rel = np.abs(delta) / np.abs(newu)
-        u = newu
+        newu = newu * (np.clip(anorm, lo_a, hi_a) / anorm)
+        rel[act] = np.abs(delta) / np.abs(newu)
+        u[act] = newu
+        fresh[act] = False
+        frozen[act] = rel[act] <= tol_eff
 
-    alm, aph, plm, pph, dlog, dph2, den = evaluate(u)
-    resid = np.exp(np.minimum(plm - den, 0.0))
+    stale = np.flatnonzero(~fresh)
+    if stale.size:
+        evaluate(stale)
     settled = bool(np.all((rel <= tol_eff) | (resid <= _RESIDUAL_STOP)))
-    # one correct rounding of the exact sum, so the reported logmag is the
-    # nearest float to the true root logmag even when sigma's own ulp dwarfs
-    # the in-frame offset
-    out_lm = np.array(
-        [float(sigma + Fraction(float(v))) for v in alm], dtype=np.float64
-    )
-    return out_lm, wrap_phase_vec(aph), resid, settled
+    # one correct rounding of the exact sum sigma + log|u|, so the reported
+    # logmag is the nearest float to the true root logmag even when sigma's
+    # own ulp dwarfs the in-frame offset
+    sn, sd = sigma.numerator, sigma.denominator
+    offsets = map(float.as_integer_ratio, np.log(np.abs(u)).tolist())
+    out_lm = np.array([(sn * b + a * sd) / (sd * b) for a, b in offsets])
+    return out_lm, wrap_phase_vec(np.angle(u)), resid, settled
 
 
 def aberth_solve(p: Polynomial, tol: float = 1e-12, max_iter: int = 200) -> RootSet:
@@ -328,14 +468,14 @@ def aberth_solve(p: Polynomial, tol: float = 1e-12, max_iter: int = 200) -> Root
     if n < 1:
         raise ValueError("degree must be at least 1")
     lm, ph = as_arrays(p.coeffs)
-    segs = _polygon_segments(p)
+    ys, k = _exact_logmags(lm)
     parts_lm = []
     parts_ph = []
     parts_res = []
     settled_all = True
     t0 = 0
-    for block in _split_blocks(segs):
-        blm, bph, bres, bok = _solve_block(lm, ph, block, t0, tol, max_iter)
+    for block in _split_blocks(_polygon_segments(ys, k)):
+        blm, bph, bres, bok = _solve_block(ph, ys, k, block, t0, tol, max_iter)
         t0 += len(block)
         parts_lm.append(blm)
         parts_ph.append(bph)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .xnum import XComplex, XReal, xcmp, xlogsumexp
+from .xnum import EXP_MAX, XComplex, XReal, xcmp, xlogsumexp
 from .xvec import wrap_phase_vec, from_arrays
 
 MASK64 = (1 << 64) - 1
@@ -45,8 +45,6 @@ VARIANTS = (
     "unit_modulus",
 )
 PHASE_MODELS = ("uniform_phase", "real_rademacher", "fixed_positive")
-
-_EXP_MAX = 709.782712893384
 
 
 @dataclass(frozen=True, slots=True)
@@ -172,7 +170,7 @@ def tail_probability(dist: CoefficientDistribution, t: XReal) -> float:
         return s ** (-dist.beta)
     if dist.variant == "complex_gaussian":
         two_lt = 2.0 * lt
-        if two_lt > _EXP_MAX:
+        if two_lt > EXP_MAX:
             return 0.0
         return math.exp(-0.5 * math.exp(two_lt))
     if dist.variant == "cauchy":

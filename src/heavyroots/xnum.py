@@ -18,7 +18,7 @@ from dataclasses import dataclass
 TAU = 2.0 * math.pi
 
 # log of the largest finite double; exp() overflows just above this
-_EXP_MAX = 709.782712893384
+EXP_MAX = 709.782712893384
 
 
 class SaturationError(OverflowError):
@@ -117,7 +117,7 @@ def to_complex(a: XComplex) -> complex:
     if a.zero:
         return complex(0.0, 0.0)
     c, s = math.cos(a.phase), math.sin(a.phase)
-    if a.logmag > _EXP_MAX:
+    if a.logmag > EXP_MAX:
         re = math.copysign(math.inf, c) if c != 0.0 else 0.0
         im = math.copysign(math.inf, s) if s != 0.0 else 0.0
         return complex(re, im)

@@ -10,12 +10,18 @@ numpy.roots on moderate scales where both are trustworthy.
 The assignment oracles answer bottleneck (minimax) matching questions by brute
 force and by subset dynamic programming, for cross-checking the production
 matcher on small instances.
+
+The block-frame oracles are slower, independent formulations of the solver's
+frame arithmetic: the Newton-polygon hull and the frame shift in Fraction
+arithmetic, and a dense log-domain evaluation that builds (n+1) x m arrays of
+term logs and phases.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -200,3 +206,61 @@ def dp_bottleneck(cost: np.ndarray) -> float:
             rest &= rest - 1
         dp[mask] = best
     return float(dp[full - 1])
+
+
+def fraction_polygon_segments(lm) -> list[tuple[Fraction, int, int]]:
+    """Newton-polygon segments (radius, j_lo, j_hi) from a Fraction hull.
+
+    lm holds the coefficient log-magnitudes, -inf for zero coefficients.
+    """
+    xs = [j for j, v in enumerate(lm) if math.isfinite(v)]
+    ys = [Fraction(float(lm[j])) for j in xs]
+    hull: list[int] = []
+    for i in range(len(xs)):
+        while len(hull) >= 2:
+            i0, i1 = hull[-2], hull[-1]
+            cross = (xs[i1] - xs[i0]) * (ys[i] - ys[i0]) - (ys[i1] - ys[i0]) * (
+                xs[i] - xs[i0]
+            )
+            if cross >= 0:
+                hull.pop()
+            else:
+                break
+        hull.append(i)
+    return [
+        ((ys[a] - ys[b]) / (xs[b] - xs[a]), xs[a], xs[b])
+        for a, b in zip(hull, hull[1:])
+    ]
+
+
+def fraction_frame_shift(lm, sigma: Fraction, anchor: int) -> np.ndarray:
+    """lm_j + j sigma - (lm_anchor + anchor sigma), each rounded once."""
+    base = Fraction(float(lm[anchor])) + anchor * sigma
+    shift = np.empty(len(lm))
+    for j, v in enumerate(lm):
+        v = float(v)
+        if not math.isfinite(v):
+            shift[j] = -math.inf
+            continue
+        try:
+            shift[j] = float(Fraction(v) + j * sigma - base)
+        except OverflowError:
+            shift[j] = math.inf if Fraction(v) + j * sigma > base else -math.inf
+    return shift
+
+
+def dense_frame_sums(shift, ph, u):
+    """(p(u), u p'(u), sum_j |c_j||u|^j) for c_j = e^(shift_j + i ph_j).
+
+    All three are divided by one positive factor per point, the largest term
+    modulus.  Every term is formed from its logarithm and phase, as an
+    (n+1) x m array.
+    """
+    jpow = np.arange(len(shift), dtype=np.float64)
+    alm = np.log(np.abs(u))
+    aph = np.angle(u)
+    tl = np.asarray(shift)[:, None] + jpow[:, None] * alm[None, :]
+    tp = np.asarray(ph)[:, None] + jpow[:, None] * aph[None, :]
+    w = np.exp(tl - np.max(tl, axis=0)[None, :])
+    terms = w * (np.cos(tp) + 1j * np.sin(tp))
+    return terms.sum(axis=0), (jpow[:, None] * terms).sum(axis=0), w.sum(axis=0)

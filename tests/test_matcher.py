@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from oracles import brute_bottleneck, dp_bottleneck
 from heavyroots.matcher import (
     MatchResult,
+    _perfect_matching_under,
     bottleneck_assignment,
     greedy_assignment,
     match_roots,
@@ -89,6 +91,33 @@ def test_bottleneck_matches_oracles_with_ties():
         dist = rng.integers(0, 4, (m, m)).astype(np.float64)
         _, worst = bottleneck_assignment(dist)
         assert worst == brute_bottleneck(dist) == dp_bottleneck(dist)
+
+
+def test_matching_leaves_recursion_limit_alone():
+    rng = np.random.default_rng(77)
+    before = sys.getrecursionlimit()
+    for m in (3, 40, 300):
+        perm, _ = bottleneck_assignment(rng.random((m, m)))
+        assert sorted(perm.tolist()) == list(range(m))
+    assert sys.getrecursionlimit() == before
+
+
+def test_augmenting_paths_deeper_than_recursion_limit():
+    # row i may take column i - 1 or i, and tries i - 1 first, so matching
+    # row i walks an alternating path through all earlier rows
+    m = 150
+    dist = np.ones((m, m))
+    for i in range(m):
+        dist[i, max(i - 1, 0)] = dist[i, i] = 0.0
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(100)
+    try:
+        perm = _perfect_matching_under(dist, 0.0)
+    finally:
+        sys.setrecursionlimit(before)
+    assert perm.tolist() == list(range(m))
+    dist[m - 1, m - 1] = 1.0
+    assert _perfect_matching_under(dist, 0.0) is None
 
 
 def test_greedy_never_beats_bottleneck():

@@ -1,6 +1,8 @@
 """Unit tests for polynomial construction, hull radii, solving, predictions."""
 
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +12,13 @@ from heavyroots.roots import (
     Polynomial,
     PredictedRoots,
     RootSet,
+    _evaluate,
+    _exact_logmags,
+    _frame_coefficients,
+    _frame_shift,
+    _initial_iterates,
+    _polygon_segments,
+    _split_blocks,
     aberth_solve,
     newton_polygon_radii,
     polynomial,
@@ -19,6 +28,7 @@ from heavyroots.roots import (
 )
 from heavyroots.sampler import CoefficientVector
 from heavyroots.xnum import (
+    SaturationError,
     XMINUS_ONE,
     XONE,
     XZERO,
@@ -31,6 +41,9 @@ from heavyroots.xvec import as_arrays, relative_distance_matrix
 from oracles import (
     best_root_matching,
     cubic_roots,
+    dense_frame_sums,
+    fraction_frame_shift,
+    fraction_polygon_segments,
     quadratic_roots,
     relative_error,
 )
@@ -125,6 +138,99 @@ def test_polygon_counts_partition_degree():
         assert all(radii[i][0] < radii[i + 1][0] for i in range(len(radii) - 1))
 
 
+def _hull_inputs():
+    """Log-magnitude vectors (-inf marks a zero coefficient) at every scale."""
+    rng = np.random.default_rng(2718)
+    out = []
+    for scale in (80.0, 1e-300, 1e-320, 1e20, 1e300):
+        for _ in range(40):
+            n = int(rng.integers(1, 30))
+            lm = rng.uniform(-1.0, 1.0, n + 1) * scale
+            lm[1:-1][rng.random(n - 1) < 0.25] = -math.inf
+            out.append(lm)
+    # ties, collinear runs and the smallest subnormals
+    out += [
+        np.zeros(7),
+        np.full(5, 3.5),
+        2.0 - 0.5 * np.arange(9.0),
+        np.array([1.0, -math.inf, 0.0, -math.inf, -1.0]),
+        -(np.arange(8.0) ** 2) / 3.0,
+        np.array([5e-324, 0.0, -5e-324, 5e-324, 0.0]),
+        np.array([5e-324, 1e300, -5e-324, -1e300, 5e-324]),
+        np.array([0.0, 5e-324, 1e-323, 1.5e-323, 2e-323]),
+    ]
+    return out
+
+
+def _frames(lm):
+    """(ys, k, block, sigma, anchor) for each block the solver would form."""
+    ys, k = _exact_logmags(lm)
+    for block in _split_blocks(_polygon_segments(ys, k)):
+        radii = [r for r, _, _ in block]
+        yield ys, k, block, (min(radii) + max(radii)) / 2, block[0][1]
+
+
+def test_integer_hull_matches_fraction_hull():
+    for lm in _hull_inputs():
+        assert _polygon_segments(*_exact_logmags(lm)) == fraction_polygon_segments(lm)
+
+
+def test_exact_frame_shift_matches_fraction_shift():
+    for lm in _hull_inputs():
+        for ys, k, _, sigma, anchor in _frames(lm):
+            exact = _frame_shift(ys, k, sigma, anchor)
+            assert np.array_equal(exact, fraction_frame_shift(lm, sigma, anchor))
+
+
+def test_frame_shift_overflow_saturates():
+    ys, k = _exact_logmags(np.array([0.0, 0.0]))
+    with pytest.raises(SaturationError):
+        _frame_shift(ys, k, Fraction(10**400), 0)
+
+
+def _evaluation_inputs():
+    rng = np.random.default_rng(31)
+    out = []
+    for n in (1, 2):  # lowest degrees
+        out += [rng.uniform(-30.0, 30.0, n + 1) for _ in range(5)]
+    lm = rng.uniform(-5.0, 5.0, 14)  # zero interior coefficients
+    lm[1:-1:2] = -math.inf
+    out += [lm, np.array([0.0] + [-math.inf] * 11 + [3.0])]
+    # one block of circles 50 nats apart spanning exactly _BLOCK_SPREAD; with
+    # 8 roots per circle the powers take more than one chunk
+    radii = np.arange(-250.0, 251.0, 50.0)
+    out.append(np.concatenate([[0.0], -np.cumsum(radii)]))
+    out.append(np.concatenate([[0.0], -np.cumsum(np.repeat(radii, 8))]))
+    for big in (1e300, -1e300):  # frames near +-1e300
+        out.append(big + np.spacing(big) * rng.integers(-8, 9, 7))
+    out.append(rng.uniform(-3.0, 3.0, 151))
+    return [(lm, rng.uniform(-math.pi, math.pi, lm.size)) for lm in out]
+
+
+def test_scaled_evaluation_matches_dense_evaluation():
+    rng = np.random.default_rng(32)
+    for lm, ph in _evaluation_inputs():
+        n = lm.size - 1
+        for ys, k, block, sigma, anchor in _frames(lm):
+            alo = max(float(block[0][0] - sigma) - 100.0, -600.0)
+            ahi = min(float(block[-1][0] - sigma) + 100.0, 600.0)
+            shift = _frame_shift(ys, k, sigma, anchor)
+            j0, coef, ec = _frame_coefficients(shift, ph, anchor, alo, ahi)
+            u = np.concatenate(
+                [
+                    _initial_iterates(block, sigma, 0),
+                    np.exp(rng.uniform(alo, ahi, 20) + 1j * rng.uniform(-4, 4, 20)),
+                    np.exp([alo, ahi]),
+                ]
+            )
+            s0, s1, s2 = _evaluate(u, coef, ec)
+            p, t, a = dense_frame_sums(shift, ph, u)
+            turn = np.exp(1j * j0 * np.angle(u))  # the dropped u^j0 / |u|^j0
+            # relative to sum |c_j||u|^j, and to n times it for u p'(u)
+            assert np.max(np.abs(s0 * turn / s2 - p / a)) <= 1e-12
+            assert np.max(np.abs(s1 * turn / s2 - t / a)) <= 1e-12 * n
+
+
 # --- numeric solving ----------------------------------------------------------------
 
 
@@ -210,6 +316,26 @@ def test_solver_oracle_equivalence_spot_check():
         rs = aberth_solve(polynomial(cc))
         worst = max(worst, best_root_matching(list(rs.roots), cubic_roots(*cc)))
     assert worst <= 1e-8
+
+
+def test_solver_memory_is_linear_in_the_block_size():
+    # one 1200-root block: a single (n+1) x m or m x m complex array would
+    # take 22 MiB, and the solver's chunks stay within a few MiB
+    rng = np.random.default_rng(7)
+    p = polynomial(
+        [
+            xcomplex(float(rng.uniform(-1, 1)), float(rng.uniform(-math.pi, math.pi)))
+            for _ in range(1201)
+        ]
+    )
+    tracemalloc.start()
+    try:
+        rs = aberth_solve(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rs.converged
+    assert peak < 16 * 2**20
 
 
 def test_scaling_all_coefficients_leaves_roots_in_place():
