@@ -10,11 +10,21 @@ Four experiment kinds share one trial pipeline (sample, solve, count, match):
   value for alpha-stable coefficient sums.
 - ``sector_uniformity``: root phase frequencies over 8 equal sectors.
 
+Trials run in chunks of consecutive trial indices of one degree, at most
+max(1, _CHUNK_ROOTS // n) per chunk, one chunk per worker-thread task.  A
+chunk samples its polynomials, computes their certificate events, solves them
+all in one ``aberth_solve_many`` call -- whose small blocks share a single
+stacked iteration, so numpy's per-call cost is paid once per step rather
+than once per block -- and then builds each trial's record.
+
 Every trial is a pure function of (config, degree, trial index): per-trial
-seeds come from a counter-based derivation, so results are byte-identical no
-matter how many worker threads execute the schedule.  Outputs are a canonical
-JSON summary, a CSV of per-trial records, and an SVG scatter of one
-representative trial in log-polar coordinates.
+seeds come from a counter-based derivation, and which trials share a chunk
+depends only on the degree and the trial index, never on the worker count.
+Each block keeps its own stop rule, and a stacked step is arithmetic on
+fixed inputs in a fixed order, so results are byte-identical no matter how
+many worker threads execute the schedule.  Outputs are a canonical JSON
+summary, a CSV of per-trial records, and an SVG scatter of one representative
+trial in log-polar coordinates.
 """
 
 from __future__ import annotations
@@ -27,13 +37,24 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .localization import count_annulus, evaluate_certificate_events
+from .localization import (
+    CertificateEvents,
+    count_annulus,
+    evaluate_certificate_events,
+)
 from .matcher import match_roots
-from .roots import RootSet, aberth_solve, polynomial, predicted_roots
+from .roots import (  # noqa: F401 -- bench/selftest.py patches aberth_solve here
+    RootSet,
+    aberth_solve,
+    aberth_solve_many,
+    polynomial,
+    predicted_roots,
+)
 from .sampler import (
     PHASE_MODELS,
     VARIANTS,
     CoefficientDistribution,
+    CoefficientVector,
     derive_seed,
     sample_coefficients,
 )
@@ -42,6 +63,9 @@ from .xnum import XComplex
 KINDS = ("annulus", "matching", "stable_compare", "sector_uniformity")
 
 _SECTORS = 8
+# A chunk of trials of degree n holds max(1, _CHUNK_ROOTS // n) of them, so a
+# chunk's stacked iteration carries about this many roots
+_CHUNK_ROOTS = 128
 
 
 @dataclass(frozen=True, slots=True)
@@ -131,11 +155,14 @@ def sector_histogram(rs: RootSet) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def _run_trial(config: ExperimentConfig, n: int, t: int) -> TrialRecord:
-    seed = derive_seed(config.master_seed, n, t)
-    c = sample_coefficients(config.distribution, n, seed)
-    events = evaluate_certificate_events(c, config.epsilon, config.delta)
-    rs = aberth_solve(polynomial(c.coeffs))
+def _record(
+    config: ExperimentConfig,
+    t: int,
+    c: CoefficientVector,
+    events: CertificateEvents,
+    rs: RootSet,
+) -> TrialRecord:
+    n = c.degree
     annulus = None
     if config.delta is not None:
         half = config.delta / n
@@ -159,7 +186,7 @@ def _run_trial(config: ExperimentConfig, n: int, t: int) -> TrialRecord:
     return TrialRecord(
         n=n,
         trial=t,
-        seed=seed,
+        seed=c.seed,
         tau=c.tau,
         clamp_count=c.clamp_count,
         converged=rs.converged,
@@ -178,6 +205,24 @@ def _run_trial(config: ExperimentConfig, n: int, t: int) -> TrialRecord:
     )
 
 
+def _run_chunk(config: ExperimentConfig, n: int, trials: range) -> list[TrialRecord]:
+    """Records of consecutive trials of degree n, solved in one batch."""
+    vecs = [
+        sample_coefficients(
+            config.distribution, n, derive_seed(config.master_seed, n, t)
+        )
+        for t in trials
+    ]
+    events = [
+        evaluate_certificate_events(c, config.epsilon, config.delta) for c in vecs
+    ]
+    solved = aberth_solve_many([polynomial(c.coeffs) for c in vecs])
+    return [
+        _record(config, t, c, ev, rs)
+        for t, c, ev, rs in zip(trials, vecs, events, solved)
+    ]
+
+
 def _binomial_se(p: float, count: int) -> float:
     return math.sqrt(p * (1.0 - p) / count)
 
@@ -190,7 +235,15 @@ def _rate(flags: list[bool]) -> tuple[float | None, float | None]:
 
 
 def summarize(config: ExperimentConfig, records: list[TrialRecord]) -> dict:
-    """Aggregate per-degree estimates; a pure, ordered reduction of records."""
+    """Aggregate per-degree estimates; a pure, ordered reduction of records.
+
+    Every rate counts converged trials only, the certificate and
+    max-dominates rates included, although both are computed from the
+    coefficients alone: the rates of one degree then rest on the same trials
+    and can be compared trial for trial.  The certificate and match rates
+    also leave out degenerate trials.  Trials that did not converge are
+    counted under ``nonconverged``.
+    """
     per_degree = []
     for n in sorted(set(config.degrees)):
         rows = sorted(
@@ -263,47 +316,31 @@ def summarize(config: ExperimentConfig, records: list[TrialRecord]) -> dict:
     return summary
 
 
+def _chunks(config: ExperimentConfig):
+    """(n, trials) per chunk: max(1, _CHUNK_ROOTS // n) consecutive trials."""
+    for n in config.degrees:
+        size = max(1, _CHUNK_ROOTS // n)
+        for t in range(0, config.trials, size):
+            yield n, range(t, min(t + size, config.trials))
+
+
 def run_experiment(
     config: ExperimentConfig, workers: int = 1
 ) -> tuple[dict, list[TrialRecord]]:
     """Execute all trials (optionally in worker threads) and aggregate.
 
-    The summary depends only on the config; worker count affects scheduling,
-    never results, because records are reduced in (degree, trial) order.
+    Every chunk of every degree is submitted before the first result is
+    read, so no worker idles at the boundary between degrees.  The summary
+    depends only on the config: chunks are fixed by (degree, trial index),
+    and records are reduced in (degree, trial) order.
     """
-    records: list[TrialRecord] = []
     with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        for n in config.degrees:
-            futures = [
-                pool.submit(_run_trial, config, n, t) for t in range(config.trials)
-            ]
-            records.extend(f.result() for f in futures)
+        futures = [
+            pool.submit(_run_chunk, config, n, trials)
+            for n, trials in _chunks(config)
+        ]
+        records = [r for f in futures for r in f.result()]
     return summarize(config, records), records
-
-
-def _expect_kind(config: ExperimentConfig, kind: str):
-    if config.kind != kind:
-        raise ValueError(f"config kind {config.kind!r} is not {kind!r}")
-
-
-def run_annulus_experiment(config, workers: int = 1):
-    _expect_kind(config, "annulus")
-    return run_experiment(config, workers)
-
-
-def run_matching_experiment(config, workers: int = 1):
-    _expect_kind(config, "matching")
-    return run_experiment(config, workers)
-
-
-def run_stable_compare(config, workers: int = 1):
-    _expect_kind(config, "stable_compare")
-    return run_experiment(config, workers)
-
-
-def run_sector_uniformity(config, workers: int = 1):
-    _expect_kind(config, "sector_uniformity")
-    return run_experiment(config, workers)
 
 
 def distribution_to_dict(dist: CoefficientDistribution) -> dict:

@@ -11,8 +11,8 @@ assignment.  A greedy pass (repeatedly taking the globally smallest distance
 between an unused row and column) is optimal whenever its worst pick does not
 exceed the trivial lower bound max(max of row minima, max of column minima);
 in the well-separated instances this module is built for that shortcut almost
-always applies.  Otherwise we binary-search the distance values and test
-feasibility with augmenting paths.
+always applies.  Otherwise we binary-search the distance values between that
+bound and the greedy worst, testing feasibility with augmenting paths.
 """
 
 from __future__ import annotations
@@ -72,29 +72,31 @@ def _perfect_matching_under(dist: np.ndarray, limit: float) -> np.ndarray | None
 
     Kuhn's augmenting-path search, one depth-first search per row, run with
     an explicit stack so that path length never meets the recursion limit.
+    Each row's admissible columns are listed once; a row entered by the
+    search takes the snapshot of those not yet visited, in column order.
     """
     m = dist.shape[0]
-    adj = dist <= limit
-    match_col = np.full(m, -1, dtype=np.int64)
-
-    def free_cols(i: int, visited: np.ndarray) -> list[int]:
-        return np.flatnonzero(adj[i] & ~visited).tolist()
+    mask = dist <= limit
+    cols = np.nonzero(mask)[1].tolist()  # row-major, so ascending per row
+    ends = np.cumsum(mask.sum(axis=1)).tolist()
+    adj = [cols[a:b] for a, b in zip([0] + ends[:-1], ends)]
+    match_col = [-1] * m
 
     for root in range(m):
-        visited = np.zeros(m, dtype=bool)
+        visited = [False] * m
         # frame: [row, its candidate columns, next position]; path[d] is the
         # column through which frame d + 1 was entered
-        stack = [[root, free_cols(root, visited), 0]]
+        stack = [[root, adj[root], 0]]
         path: list[int] = []
         while stack:
             frame = stack[-1]
-            i, cols, pos = frame
-            if pos == len(cols):
+            i, cand, pos = frame
+            if pos == len(cand):
                 stack.pop()
                 if path:
                     path.pop()
                 continue
-            j = cols[pos]
+            j = cand[pos]
             frame[2] = pos + 1
             visited[j] = True
             if match_col[j] < 0:
@@ -103,33 +105,42 @@ def _perfect_matching_under(dist: np.ndarray, limit: float) -> np.ndarray | None
                     match_col[col] = stack[d][0]
                 break
             path.append(j)
-            k = int(match_col[j])
-            stack.append([k, free_cols(k, visited), 0])
+            k = match_col[j]
+            stack.append([k, [c for c in adj[k] if not visited[c]], 0])
         else:
             return None
     perm = np.full(m, -1, dtype=np.int64)
-    for j in range(m):
-        perm[int(match_col[j])] = j
+    perm[match_col] = np.arange(m)
     return perm
 
 
-def bottleneck_assignment(dist: np.ndarray) -> tuple[np.ndarray, float]:
-    """Assignment minimizing the largest used distance, by binary search."""
-    values = np.unique(dist)
-    lo, hi = 0, len(values) - 1
-    best = _perfect_matching_under(dist, float(values[hi]))
-    if best is None:
-        raise RuntimeError("square distance matrix must admit a matching")
-    best_val = float(values[hi])
+def bottleneck_assignment(
+    dist: np.ndarray, lower: float = -math.inf, upper: float = math.inf
+) -> tuple[np.ndarray, float]:
+    """Assignment minimizing the largest used distance, by binary search.
+
+    lower and upper bracket the optimum: no assignment beats lower, and one
+    uses no distance above upper.  Only the distinct distances between them
+    are searched, and the result is the matching found at the optimum, the
+    same as with no bracket.
+    """
+    values = np.unique(dist[(dist >= lower) & (dist <= upper)])
+    if values.size == 0:
+        raise ValueError("no distance lies between the bounds")
+    lo, hi = 0, values.size - 1
+    best = None  # the matching at values[hi], once one has been found
     while lo < hi:
         mid = (lo + hi) // 2
         perm = _perfect_matching_under(dist, float(values[mid]))
         if perm is not None:
-            best, best_val = perm, float(values[mid])
-            hi = mid
+            best, hi = perm, mid
         else:
             lo = mid + 1
-    return best, best_val
+    if best is None:
+        best = _perfect_matching_under(dist, float(values[hi]))
+        if best is None:
+            raise RuntimeError("square distance matrix must admit a matching")
+    return best, float(values[hi])
 
 
 def match_roots(
@@ -157,6 +168,6 @@ def match_roots(
     perm, worst = greedy_assignment(dist)
     bound = max(float(dist.min(axis=1).max()), float(dist.min(axis=0).max()))
     if worst > bound:
-        perm, worst = bottleneck_assignment(dist)
+        perm, worst = bottleneck_assignment(dist, bound, worst)
     holds = bool(worst < eps / n)
     return MatchResult(holds, tuple(int(j) for j in perm), worst, False)

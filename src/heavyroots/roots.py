@@ -19,6 +19,11 @@ the block size; terms more than e^800 below the block's own are left out.  A
 root whose last relative correction is at most tol is frozen: it still repels
 the others but is neither evaluated nor moved again (the rule MPSolve uses).
 
+The simultaneous update of a root depends only on its own block, so the small
+blocks of many polynomials iterate together as one stacked array, each with
+its own stop rule; aberth_solve is the one-polynomial case of
+aberth_solve_many.
+
 Residuals are relative backward errors |p(z)| / sum_j |c_j||z|^j; a RootSet
 only reports converged = True when every residual is at or below 1e-10.
 """
@@ -56,6 +61,7 @@ _LN2_LO = 1.90821492927058770002e-10  # is exact for |k| < 2**21
 _CHUNK_ROWS = 64  # powers per evaluation chunk; |uh^i| >= 2**-i stays normal
 _EVAL_ELEMS = 1 << 15  # entries (powers x points) in one evaluation chunk
 _PAIR_ELEMS = 1 << 17  # entries in one chunk of pairwise root differences
+_BATCH_ROOTS = 64  # blocks up to this size share one stacked iteration
 
 
 @dataclass(frozen=True, slots=True)
@@ -276,28 +282,39 @@ def _frame_coefficients(shift, ph, anchor: int, alo: float, ahi: float):
 
 
 def _pow2(d: np.ndarray) -> np.ndarray:
-    """2.0**d for integer arrays d <= 0, built from the exponent bits; values
-    below the normal range (d < -1022) flush to zero."""
-    return ((np.maximum(d, -1023) + 1023) << 52).view(np.float64)
+    """2.0**d for integer arrays d <= 0, built in place from the exponent
+    bits (d is overwritten); values below the normal range (d < -1022) flush
+    to zero."""
+    np.maximum(d, -1023, out=d)
+    d += 1023
+    d <<= 52
+    return d.view(np.float64)
 
 
-def _evaluate(u: np.ndarray, coef: np.ndarray, ec: np.ndarray):
+def _evaluate(u: np.ndarray, coef: np.ndarray, ec: np.ndarray, at=None):
     """Scaled sums of the frame coefficients at the points u.
 
-    With c_i the coefficient in column i of coef and j_i its power, returns
-    s0 = sum c_i u^i, s1 = sum j_i c_i u^i and s2 = sum |c_i| |u|^i: p(u),
-    u p'(u) and sum |c_j| |u|^j, each divided by u^j0 (or |u|^j0) and by one
-    power of two per point.  Both factors cancel: every use of the sums is a
-    ratio.
+    coef (5, cols, blocks) and ec (cols, blocks) hold the frame coefficients
+    of one or more blocks side by side, each padded to the widest block with
+    terms of zero mantissa and exponent _EXP_FLOOR; at[i] is the block of
+    point i, or None when there is one block, whose coefficients then
+    broadcast over the points without a per-point gather.  With c_i the
+    point's coefficient in column i and j_i its power, returns s0 = sum c_i
+    u^i, s1 = sum j_i c_i u^i and s2 = sum |c_i| |u|^i: p(u), u p'(u) and
+    sum |c_j| |u|^j, each divided by u^j0 (or |u|^j0) and by one power of two
+    per point.  Both factors cancel: every use of the sums is a ratio.  A
+    padding term adds exactly 0.
 
     Powers are taken in chunks of rows: u = uh 2**e with |uh| in [0.5, 1),
     so uh^i comes from plain multiplication without leaving the float range
     and the exponents ec + i e are exact integers that set one scale per
-    chunk and point.  Every sum is elementwise in a fixed order (never BLAS),
-    so the result does not depend on the thread count.
+    chunk and point.  A chunk holds at most _EVAL_ELEMS entries, which bounds
+    the temporaries near 3 MiB even with coefficients gathered per point.
+    Every sum is elementwise in a fixed order (never BLAS), so the result
+    does not depend on the thread count.
     """
     m = u.size
-    cols = ec.size
+    cols = ec.shape[0]
     rows = min(_CHUNK_ROWS, max(1, _EVAL_ELEMS // m), cols)
     mag, e = np.frexp(np.abs(u))
     e = e.astype(np.int64)
@@ -306,22 +323,25 @@ def _evaluate(u: np.ndarray, coef: np.ndarray, ec: np.ndarray):
     if rows > 1:
         uh = u * np.ldexp(1.0, -e)
         np.cumprod(np.broadcast_to(uh, (rows - 1, m)), axis=0, out=q[1:])
-    qr, qi, qa = q.real.copy(), q.imag.copy(), np.abs(q)
+    qr, qi, qa = q.real, q.imag, np.abs(q)
     ie = np.arange(rows, dtype=np.int64)[:, None] * e
+    # with one block the coefficients broadcast over the points
+    cpart, pick = ("ki", 0) if at is None else ("kij", at)
     acc = top = None
     for c0 in range(0, cols, rows):
         r = min(rows, cols - c0)
-        g = ec[c0 : c0 + r, None] + ie[:r]
+        g = ec[c0 : c0 + r, pick].reshape(r, -1) + ie[:r]
         gmax = g.max(axis=0)
         f = _pow2(np.subtract(g, gmax, out=g))
-        cc = coef[:, c0 : c0 + r]
         # real and imaginary parts of sum c u^i and sum j c u^i
-        re = np.einsum("ki,ij->kj", cc[:4], qr[:r] * f)
-        im = np.einsum("ki,ij->kj", cc[:4], qi[:r] * f)
+        cc = coef[:4, c0 : c0 + r, pick]
+        re = np.einsum(f"{cpart},ij->kj", cc, qr[:r] * f)
+        im = np.einsum(f"{cpart},ij->kj", cc, qi[:r] * f)
         s = np.empty((3, m), dtype=np.complex128)
         s[0].real, s[0].imag = re[0] - im[1], im[0] + re[1]
         s[1].real, s[1].imag = re[2] - im[3], im[2] + re[3]
-        s[2] = np.einsum("i,ij->j", cc[4], np.multiply(f, qa[:r], out=f))
+        cc = coef[4][c0 : c0 + r, pick]
+        s[2] = np.einsum(f"{cpart[1:]},ij->j", cc, np.multiply(f, qa[:r], out=f))
         if c0:
             # uh^c0 = bm 2**eb e^(i c0 arg u), its exponent kept apart
             t = c0 * np.log2(mag)
@@ -339,27 +359,28 @@ def _evaluate(u: np.ndarray, coef: np.ndarray, ec: np.ndarray):
     return acc[0], acc[1], acc[2].real
 
 
-def _solve_block(ph, ys, k, segs, t0, tol, max_iter):
-    """Iterate one block in its own frame u = z * exp(-sigma).
+@dataclass(frozen=True, slots=True)
+class _Block:
+    """One block in its own frame u = z * exp(-sigma), ready to iterate."""
 
-    Returns (root logmags, root phases, residuals, settled) with values in the
-    original frame.
-    """
+    coef: np.ndarray  # frame coefficients, see _frame_coefficients
+    ec: np.ndarray
+    u0: np.ndarray  # initial iterates
+    sigma: Fraction
+    charge: float  # roots of radially lower blocks, as a point charge at 0
+    lo_a: float  # iterates are clipped to moduli in [lo_a, hi_a]
+    hi_a: float
+
+
+def _block_frame(ph, ys, k, segs, t0) -> _Block:
     radii = [s[0] for s in segs]
-    # roots of radially lower blocks sit near 0 in this frame; a point charge
-    # there makes the update Aberth on the implicitly deflated polynomial
-    # (fixed points are unchanged: the correction is zero only where p is)
-    charge_below = float(segs[0][1])
     # The frame center is an exact rational.  A float midrange at scale 1e20+
     # carries an absolute rounding error of whole nats, which displaces the
     # in-frame balance points by the same amount -- far beyond the e^+-600
     # window once the scale passes ~1e18, making the block unsolvable.
     sigma = (min(radii) + max(radii)) / 2
-    tol_eff = max(tol, 1.4e-14)
     alo = max(float(min(radii) - sigma) - 100.0, -600.0)
     ahi = min(float(max(radii) - sigma) + 100.0, 600.0)
-    lo_a = math.exp(alo)
-    hi_a = math.exp(ahi)
     # Term exponents are carried relative to the block's first hull vertex.
     # Within the block every difference is small by construction; terms from
     # other blocks are exponentially suppressed here, so dropping them is the
@@ -368,30 +389,81 @@ def _solve_block(ph, ys, k, segs, t0, tol, max_iter):
     _, coef, ec = _frame_coefficients(
         _frame_shift(ys, k, sigma, anchor), ph, anchor, alo, ahi
     )
+    # roots of radially lower blocks sit near 0 in this frame; a point charge
+    # there makes the update Aberth on the implicitly deflated polynomial
+    # (fixed points are unchanged: the correction is zero only where p is)
+    return _Block(
+        coef,
+        ec,
+        _initial_iterates(segs, sigma, t0),
+        sigma,
+        float(segs[0][1]),
+        math.exp(alo),
+        math.exp(ahi),
+    )
 
-    u = _initial_iterates(segs, sigma, t0)
-    m = u.size
-    step = max(1, _PAIR_ELEMS // m)  # rows of pairwise differences at a time
-    rel = np.full(m, np.inf)
-    resid = np.full(m, np.inf)
+
+def _iterate(blocks: list[_Block], tol: float, max_iter: int):
+    """Run the blocks' simultaneous iterations together, one step at a time.
+
+    The roots of all blocks sit in one flat array, with a block id and an
+    in-block position per root.  Every rule is applied per block: a block
+    stops once every active root has a residual at or below _RESIDUAL_STOP
+    (or none is active), the duplicate check compares roots of one block,
+    and repulsion runs over rows padded to the largest block, where the pad
+    entries add exactly 0.  A root's step therefore depends only on its own
+    block.  Returns (iterates, residuals, one settled flag per block), the
+    first two in block order.
+    """
+    nb = len(blocks)
+    sizes = np.array([b.u0.size for b in blocks])
+    bid = np.repeat(np.arange(nb), sizes)
+    pos = np.arange(bid.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    u = np.concatenate([b.u0 for b in blocks])
+    width = max(b.ec.size for b in blocks)
+    coef = np.zeros((5, width, nb))
+    ec = np.full((width, nb), _EXP_FLOOR, dtype=np.int64)
+    for i, b in enumerate(blocks):
+        coef[:, : b.ec.size, i] = b.coef
+        ec[: b.ec.size, i] = b.ec
+    charge = np.array([b.charge for b in blocks])[bid]
+    lo_a = np.array([b.lo_a for b in blocks])[bid]
+    hi_a = np.array([b.hi_a for b in blocks])[bid]
+    # roots by (block, position); with one block a view of u itself
+    mmax = int(sizes.max())
+    if nb == 1:
+        grid = u.reshape(1, -1)
+    else:
+        grid = np.zeros((nb, mmax), dtype=np.complex128)
+        pad = np.arange(mmax) >= sizes[:, None]
+    step = max(1, _PAIR_ELEMS // mmax)  # rows of pairwise differences at a time
+    tol_eff = max(tol, 1.4e-14)
+    rel = np.full(u.size, np.inf)
+    resid = np.full(u.size, np.inf)
     # A root whose last relative correction is at most tol is frozen: it
     # keeps repelling the others but is never evaluated or moved again.
-    frozen = np.zeros(m, dtype=bool)
-    fresh = np.zeros(m, dtype=bool)  # resid belongs to the current iterate
+    frozen = np.zeros(u.size, dtype=bool)
+    fresh = np.zeros(u.size, dtype=bool)  # resid belongs to the current iterate
+    live = np.ones(nb, dtype=bool)  # blocks still iterating
 
     def evaluate(at):
-        s0, s1, s2 = _evaluate(u[at], coef, ec)
+        s0, s1, s2 = _evaluate(u[at], coef, ec, None if nb == 1 else bid[at])
         resid[at] = np.minimum(np.abs(s0) / s2, 1.0)
         fresh[at] = True
         return s0, s1
 
     for _ in range(max_iter):
-        act = np.flatnonzero(~frozen)
+        act = np.flatnonzero(~frozen & live[bid])
         if act.size == 0:
             break
         s0, s1 = evaluate(act)
-        if np.all(resid[act] <= _RESIDUAL_STOP):
-            break
+        busy = resid[act] > _RESIDUAL_STOP
+        live = np.bincount(bid[act], weights=busy, minlength=nb) > 0
+        if not busy.all():
+            keep = live[bid[act]]
+            act, s0, s1 = act[keep], s0[keep], s1[keep]
+            if act.size == 0:
+                break
 
         # Newton correction in the block frame: p(u) / p'(u) = u s0 / s1, at
         # most _STEP_MAX times the iterate
@@ -404,20 +476,29 @@ def _solve_block(ph, ys, k, segs, t0, tol, max_iter):
         ratio[s0 == 0] = 0.0
         nc = ratio * u[act]
 
-        # an active root equal to a lower-indexed root is nudged apart: sorted
-        # by value, equal roots form runs in index order
-        order = np.lexsort((np.arange(m), u.imag, u.real))
-        su = u[order]
-        dup = order[1:][su[1:] == su[:-1]]
+        # an active root equal to a lower-indexed root of its block is nudged
+        # apart: sorted by (block, value), equal roots form runs in index order
+        idx = np.flatnonzero(live[bid])
+        ui = u[idx]
+        order = np.lexsort((idx, ui.imag, ui.real, bid[idx]))
+        su = ui[order]
+        sb = bid[idx][order]
+        dup = idx[order[1:][(su[1:] == su[:-1]) & (sb[1:] == sb[:-1])]]
         dup = dup[~frozen[dup]]
         if dup.size:
-            u[dup] = u[dup] * np.exp(1j * 1e-9 * (dup + 1))
+            u[dup] = u[dup] * np.exp(1j * 1e-9 * (pos[dup] + 1))
         ua = u[act]
-        repulse = charge_below / ua
+        repulse = charge[act] / ua
+        if nb > 1:
+            grid[bid, pos] = u
         for a in range(0, act.size, step):
             own = act[a : a + step]
-            d = ua[a : a + step, None] - u
-            d[np.arange(own.size), own] = np.inf  # the root itself adds 0
+            if nb == 1:
+                d = ua[a : a + step, None] - grid
+            else:
+                d = ua[a : a + step, None] - grid[bid[own]]
+                d[pad[bid[own]]] = np.inf  # pad entries add 0
+            d[np.arange(own.size), pos[own]] = np.inf  # the root itself adds 0
             with np.errstate(divide="ignore", invalid="ignore"):
                 inv = np.reciprocal(d, out=d)
             sums = inv.sum(axis=1)
@@ -437,7 +518,7 @@ def _solve_block(ph, ys, k, segs, t0, tol, max_iter):
         anorm = np.abs(newu)
         newu = np.where(anorm == 0.0, 1e-300 + 0j, newu)
         anorm = np.abs(newu)
-        newu = newu * (np.clip(anorm, lo_a, hi_a) / anorm)
+        newu = newu * (np.clip(anorm, lo_a[act], hi_a[act]) / anorm)
         rel[act] = np.abs(delta) / np.abs(newu)
         u[act] = newu
         fresh[act] = False
@@ -446,49 +527,83 @@ def _solve_block(ph, ys, k, segs, t0, tol, max_iter):
     stale = np.flatnonzero(~fresh)
     if stale.size:
         evaluate(stale)
-    settled = bool(np.all((rel <= tol_eff) | (resid <= _RESIDUAL_STOP)))
+    unsettled = (rel > tol_eff) & (resid > _RESIDUAL_STOP)
+    settled = np.bincount(bid, weights=unsettled, minlength=nb) == 0
+    return u, resid, settled
+
+
+def _original_frame(u: np.ndarray, sigma: Fraction):
+    """(logmag, phase) of the roots z = u * exp(sigma)."""
     # one correct rounding of the exact sum sigma + log|u|, so the reported
     # logmag is the nearest float to the true root logmag even when sigma's
     # own ulp dwarfs the in-frame offset
     sn, sd = sigma.numerator, sigma.denominator
     offsets = map(float.as_integer_ratio, np.log(np.abs(u)).tolist())
-    out_lm = np.array([(sn * b + a * sd) / (sd * b) for a, b in offsets])
-    return out_lm, wrap_phase_vec(np.angle(u)), resid, settled
+    lm = np.array([(sn * b + a * sd) / (sd * b) for a, b in offsets])
+    return lm, wrap_phase_vec(np.angle(u))
+
+
+def aberth_solve_many(
+    polys, tol: float = 1e-12, max_iter: int = 200
+) -> list[RootSet]:
+    """All complex roots of each polynomial, by blockwise simultaneous iteration.
+
+    Initial guesses sit on the Newton-polygon circles; a block stops when
+    every relative correction is at most tol (or the relative backward error
+    of the root is already below 1e-11), or at max_iter.  Non-convergence is
+    reported through converged = False, never as an exception.
+
+    Blocks are independent, so the blocks of all polynomials with at most
+    _BATCH_ROOTS roots share one stacked iteration, which pays numpy's
+    per-call cost once per step instead of once per block; a larger block
+    iterates alone.  Each block keeps its own stop rule, so a root's result
+    does not depend on the other polynomials beyond rounding.
+    """
+    owner = []  # polynomial index of each block
+    blocks = []
+    for i, p in enumerate(polys):
+        if p.degree < 1:
+            raise ValueError("degree must be at least 1")
+        lm, ph = as_arrays(p.coeffs)
+        ys, k = _exact_logmags(lm)
+        t0 = 0
+        for segs in _split_blocks(_polygon_segments(ys, k)):
+            blocks.append(_block_frame(ph, ys, k, segs, t0))
+            owner.append(i)
+            t0 += len(segs)
+    small = [j for j, b in enumerate(blocks) if b.u0.size <= _BATCH_ROOTS]
+    groups = [[j] for j, b in enumerate(blocks) if b.u0.size > _BATCH_ROOTS]
+    if small:
+        groups.append(small)
+    solved = {}
+    for group in groups:
+        u, resid, settled = _iterate([blocks[j] for j in group], tol, max_iter)
+        start = 0
+        for j, ok in zip(group, settled.tolist()):
+            end = start + blocks[j].u0.size
+            lm, ph = _original_frame(u[start:end], blocks[j].sigma)
+            solved[j] = (lm, ph, resid[start:end], ok)
+            start = end
+
+    per_poly = [[] for _ in polys]
+    for j, i in enumerate(owner):
+        per_poly[i].append(solved[j])
+    out = []
+    for parts in per_poly:
+        rlm = np.concatenate([s[0] for s in parts])
+        rph = np.concatenate([s[1] for s in parts])
+        rres = np.concatenate([s[2] for s in parts])
+        order = np.lexsort((rph, rlm))
+        roots = tuple(from_arrays(rlm[order], rph[order]))
+        residuals = tuple(float(x) for x in rres[order])
+        converged = all(s[3] for s in parts) and max(residuals) <= _RESIDUAL_OK
+        out.append(RootSet(roots, residuals, converged))
+    return out
 
 
 def aberth_solve(p: Polynomial, tol: float = 1e-12, max_iter: int = 200) -> RootSet:
-    """All complex roots by blockwise simultaneous iteration.
-
-    Initial guesses sit on the Newton-polygon circles; the iteration stops
-    when every relative correction is at most tol (or the relative backward
-    error of the root is already below 1e-11), or at max_iter.  Non-convergence
-    is reported through converged = False, never as an exception.
-    """
-    n = p.degree
-    if n < 1:
-        raise ValueError("degree must be at least 1")
-    lm, ph = as_arrays(p.coeffs)
-    ys, k = _exact_logmags(lm)
-    parts_lm = []
-    parts_ph = []
-    parts_res = []
-    settled_all = True
-    t0 = 0
-    for block in _split_blocks(_polygon_segments(ys, k)):
-        blm, bph, bres, bok = _solve_block(ph, ys, k, block, t0, tol, max_iter)
-        t0 += len(block)
-        parts_lm.append(blm)
-        parts_ph.append(bph)
-        parts_res.append(bres)
-        settled_all = settled_all and bok
-    rlm = np.concatenate(parts_lm)
-    rph = np.concatenate(parts_ph)
-    rres = np.concatenate(parts_res)
-    order = np.lexsort((rph, rlm))
-    roots = tuple(from_arrays(rlm[order], rph[order]))
-    residuals = tuple(float(x) for x in rres[order])
-    converged = settled_all and max(residuals) <= _RESIDUAL_OK
-    return RootSet(roots, residuals, converged)
+    """All complex roots of one polynomial; see aberth_solve_many."""
+    return aberth_solve_many([p], tol, max_iter)[0]
 
 
 def _circle_logmag(num: XComplex, den: XComplex, k: int) -> float:

@@ -9,7 +9,9 @@ numpy.roots on moderate scales where both are trustworthy.
 
 The assignment oracles answer bottleneck (minimax) matching questions by brute
 force and by subset dynamic programming, for cross-checking the production
-matcher on small instances.
+matcher on small instances; a plain binary search over every distinct
+distance, with a Kuhn search that lists free columns at each step, gives the
+exact permutations the production matcher must reproduce.
 
 The block-frame oracles are slower, independent formulations of the solver's
 frame arithmetic: the Newton-polygon hull and the frame shift in Fraction
@@ -206,6 +208,63 @@ def dp_bottleneck(cost: np.ndarray) -> float:
             rest &= rest - 1
         dp[mask] = best
     return float(dp[full - 1])
+
+
+def _kuhn_matching_under(dist: np.ndarray, limit: float) -> np.ndarray | None:
+    """Row->col perfect matching using only entries <= limit, else None."""
+    m = dist.shape[0]
+    adj = dist <= limit
+    match_col = np.full(m, -1, dtype=np.int64)
+
+    def free_cols(i: int, visited: np.ndarray) -> list[int]:
+        return np.flatnonzero(adj[i] & ~visited).tolist()
+
+    for root in range(m):
+        visited = np.zeros(m, dtype=bool)
+        stack = [[root, free_cols(root, visited), 0]]
+        path: list[int] = []
+        while stack:
+            frame = stack[-1]
+            i, cols, pos = frame
+            if pos == len(cols):
+                stack.pop()
+                if path:
+                    path.pop()
+                continue
+            j = cols[pos]
+            frame[2] = pos + 1
+            visited[j] = True
+            if match_col[j] < 0:
+                match_col[j] = i
+                for d, col in enumerate(path):
+                    match_col[col] = stack[d][0]
+                break
+            path.append(j)
+            k = int(match_col[j])
+            stack.append([k, free_cols(k, visited), 0])
+        else:
+            return None
+    perm = np.full(m, -1, dtype=np.int64)
+    for j in range(m):
+        perm[int(match_col[j])] = j
+    return perm
+
+
+def search_bottleneck(dist: np.ndarray) -> tuple[np.ndarray, float]:
+    """Bottleneck assignment by binary search over all distinct distances."""
+    values = np.unique(dist)
+    lo, hi = 0, len(values) - 1
+    best = _kuhn_matching_under(dist, float(values[hi]))
+    best_val = float(values[hi])
+    while lo < hi:
+        mid = (lo + hi) // 2
+        perm = _kuhn_matching_under(dist, float(values[mid]))
+        if perm is not None:
+            best, best_val = perm, float(values[mid])
+            hi = mid
+        else:
+            lo = mid + 1
+    return best, best_val
 
 
 def fraction_polygon_segments(lm) -> list[tuple[Fraction, int, int]]:

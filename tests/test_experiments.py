@@ -11,6 +11,7 @@ import pytest
 from heavyroots.cli import main as cli_main
 from heavyroots.experiments import (
     ExperimentConfig,
+    _chunks,
     TrialRecord,
     config_from_dict,
     config_to_dict,
@@ -22,7 +23,6 @@ from heavyroots.experiments import (
     representative_record,
     root_to_dict,
     run_experiment,
-    run_matching_experiment,
     sector_histogram,
     stable_formula,
     summarize,
@@ -181,7 +181,7 @@ def test_gaussian_coefficients_do_not_match_predictions():
         distribution=_dist("complex_gaussian"),
         master_seed=303,
     )
-    summary, _ = run_matching_experiment(cfg)
+    summary, _ = run_experiment(cfg)
     entry = summary["per_degree"][0]
     assert entry["match_rate"] is not None and entry["match_rate"] <= 0.1
 
@@ -195,7 +195,7 @@ def test_certificate_chain_consistency_inequality():
         distribution=_dist("double_log_slow_tail"),
         master_seed=99,
     )
-    summary, _ = run_matching_experiment(cfg)
+    summary, _ = run_experiment(cfg)
     for entry in summary["per_degree"]:
         if entry["certificate_rate"] is None or entry["match_rate"] is None:
             continue
@@ -219,6 +219,35 @@ def test_rerun_is_byte_identical(tmp_path):
         emit_outputs(summary, records, str(out))
     for name in ("summary.json", "records.csv", "roots.svg"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+def test_chunk_boundaries_never_change_outputs(tmp_path):
+    # 7 trials split into chunks of 6 + 1 at n=20 and 2 + 2 + 2 + 1 at n=50;
+    # n=300 takes one trial per chunk
+    cfg = _config(
+        kind="matching",
+        degrees=(20, 50, 300),
+        trials=7,
+        delta=None,
+        distribution=_dist("double_log_slow_tail"),
+        master_seed=17,
+    )
+    sizes: dict[int, list[int]] = {}
+    for n, trials in _chunks(cfg):
+        sizes.setdefault(n, []).append(len(trials))
+    assert sizes == {20: [6, 1], 50: [2, 2, 2, 1], 300: [1] * 7}
+    outputs = []
+    for workers in (1, 2, 3):
+        summary, records = run_experiment(cfg, workers=workers)
+        assert [(r.n, r.trial) for r in records] == [
+            (n, t) for n in cfg.degrees for t in range(cfg.trials)
+        ]
+        out = tmp_path / f"w{workers}"
+        emit_outputs(summary, records, str(out))
+        outputs.append(
+            [(out / name).read_bytes() for name in ("summary.json", "records.csv")]
+        )
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_sector_frequencies_sum_to_one():
@@ -305,7 +334,7 @@ def test_svg_has_two_reference_lines_and_labels():
         distribution=_dist("double_log_slow_tail"),
         master_seed=21,
     )
-    summary, records = run_matching_experiment(cfg)
+    summary, records = run_experiment(cfg)
     rep = representative_record(records)
     svg = render_roots_svg(
         rep.n,

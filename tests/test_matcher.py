@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from oracles import brute_bottleneck, dp_bottleneck
+from oracles import brute_bottleneck, dp_bottleneck, search_bottleneck
 from heavyroots.matcher import (
     MatchResult,
     _perfect_matching_under,
@@ -91,6 +91,33 @@ def test_bottleneck_matches_oracles_with_ties():
         dist = rng.integers(0, 4, (m, m)).astype(np.float64)
         _, worst = bottleneck_assignment(dist)
         assert worst == brute_bottleneck(dist) == dp_bottleneck(dist)
+
+
+def test_bracketed_search_reproduces_full_search():
+    # the production search lists each row's columns once and searches only
+    # between the row/column-minimum bound and the greedy worst; it must
+    # return the same permutation and value as the plain search over every
+    # distinct distance, on continuous and on heavily tied distances
+    rng = np.random.default_rng(2024)
+    for case in range(3000):
+        m = int(rng.integers(1, 16))
+        if case % 3 == 0:
+            dist = rng.integers(0, 4, (m, m)).astype(np.float64)
+        elif case % 3 == 1:
+            dist = rng.random((m, m))
+        else:
+            # clustered: a near-diagonal pairing with ties off the diagonal
+            dist = rng.integers(0, 3, (m, m)).astype(np.float64)
+            dist[np.arange(m), rng.permutation(m)] = rng.random(m) * 0.5
+        want_perm, want = search_bottleneck(dist)
+        _, greedy = greedy_assignment(dist)
+        bound = max(float(dist.min(axis=1).max()), float(dist.min(axis=0).max()))
+        for got_perm, got in (
+            bottleneck_assignment(dist),
+            bottleneck_assignment(dist, bound, greedy),
+        ):
+            assert got == want
+            assert got_perm.tolist() == want_perm.tolist()
 
 
 def test_matching_leaves_recursion_limit_alone():

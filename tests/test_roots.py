@@ -12,6 +12,8 @@ from heavyroots.roots import (
     Polynomial,
     PredictedRoots,
     RootSet,
+    _BATCH_ROOTS,
+    _EXP_FLOOR,
     _evaluate,
     _exact_logmags,
     _frame_coefficients,
@@ -20,13 +22,18 @@ from heavyroots.roots import (
     _polygon_segments,
     _split_blocks,
     aberth_solve,
+    aberth_solve_many,
     newton_polygon_radii,
     polynomial,
     predicted_roots,
     reverse,
     trim,
 )
-from heavyroots.sampler import CoefficientVector
+from heavyroots.sampler import (
+    CoefficientDistribution,
+    CoefficientVector,
+    sample_coefficients,
+)
 from heavyroots.xnum import (
     SaturationError,
     XMINUS_ONE,
@@ -207,7 +214,8 @@ def _evaluation_inputs():
     return [(lm, rng.uniform(-math.pi, math.pi, lm.size)) for lm in out]
 
 
-def test_scaled_evaluation_matches_dense_evaluation():
+def _evaluation_cases():
+    """(u, coef, ec, j0, shift, ph, n) for every block of every input."""
     rng = np.random.default_rng(32)
     for lm, ph in _evaluation_inputs():
         n = lm.size - 1
@@ -223,12 +231,46 @@ def test_scaled_evaluation_matches_dense_evaluation():
                     np.exp([alo, ahi]),
                 ]
             )
-            s0, s1, s2 = _evaluate(u, coef, ec)
-            p, t, a = dense_frame_sums(shift, ph, u)
-            turn = np.exp(1j * j0 * np.angle(u))  # the dropped u^j0 / |u|^j0
-            # relative to sum |c_j||u|^j, and to n times it for u p'(u)
-            assert np.max(np.abs(s0 * turn / s2 - p / a)) <= 1e-12
-            assert np.max(np.abs(s1 * turn / s2 - t / a)) <= 1e-12 * n
+            yield u, coef, ec, j0, shift, ph, n
+
+
+def _assert_matches_dense(sums, u, j0, shift, ph, n):
+    s0, s1, s2 = sums
+    p, t, a = dense_frame_sums(shift, ph, u)
+    turn = np.exp(1j * j0 * np.angle(u))  # the dropped u^j0 / |u|^j0
+    # relative to sum |c_j||u|^j, and to n times it for u p'(u)
+    assert np.max(np.abs(s0 * turn / s2 - p / a)) <= 1e-12
+    assert np.max(np.abs(s1 * turn / s2 - t / a)) <= 1e-12 * n
+
+
+def test_scaled_evaluation_matches_dense_evaluation():
+    for u, coef, ec, j0, shift, ph, n in _evaluation_cases():
+        sums = _evaluate(u, coef[..., None], ec[:, None])
+        _assert_matches_dense(sums, u, j0, shift, ph, n)
+
+
+def test_stacked_evaluation_matches_dense_evaluation():
+    # blocks of different widths side by side, padded to the widest with
+    # zero terms; each point is evaluated against its own block only, and
+    # the points of a block are interleaved with those of the others
+    cases = list(_evaluation_cases())
+    width = max(c[2].size for c in cases)
+    coef = np.zeros((5, width, len(cases)))
+    ec = np.full((width, len(cases)), _EXP_FLOOR, dtype=np.int64)
+    for b, (_, cb, eb, *_) in enumerate(cases):
+        coef[:, : eb.size, b] = cb
+        ec[: eb.size, b] = eb
+    at = np.concatenate([np.full(c[0].size, b) for b, c in enumerate(cases)])
+    mix = np.random.default_rng(33).permutation(at.size)
+    u = np.concatenate([c[0] for c in cases])[mix]
+    s0, s1, s2 = _evaluate(u, coef, ec, at[mix])
+    back = np.argsort(mix)
+    s0, s1, s2 = s0[back], s1[back], s2[back]
+    start = 0
+    for ub, _, _, j0, shift, ph, n in cases:
+        part = slice(start, start + ub.size)
+        _assert_matches_dense((s0[part], s1[part], s2[part]), ub, j0, shift, ph, n)
+        start += ub.size
 
 
 # --- numeric solving ----------------------------------------------------------------
@@ -336,6 +378,85 @@ def test_solver_memory_is_linear_in_the_block_size():
         tracemalloc.stop()
     assert rs.converged
     assert peak < 16 * 2**20
+
+
+def _random_poly(rng, n, spread=3.0):
+    return polynomial(
+        [
+            xcomplex(float(rng.uniform(-spread, spread)), float(rng.uniform(-math.pi, math.pi)))
+            for _ in range(n + 1)
+        ]
+    )
+
+
+def _batch_inputs():
+    """Polynomials that exercise every way blocks can be stacked."""
+    rng = np.random.default_rng(1105)
+    dlog = CoefficientDistribution("double_log_slow_tail", beta=1.0, cap=690.0)
+    polys = [
+        polynomial(sample_coefficients(dlog, n, seed).coeffs)
+        for n in (20, 50)
+        for seed in range(6)
+    ]
+    # one block of 80 roots between blocks of 1 and 2 roots: a flat run of
+    # powers 1..81 high above both ends of the Newton polygon
+    flat = [
+        xcomplex(420.0 + float(rng.uniform(-0.5, 0.5)), float(rng.uniform(-3, 3)))
+        for _ in range(81)
+    ]
+    polys.append(polynomial([XONE, *flat, xcomplex(-300.0, 2.0), xcomplex(-700.0, 0.5)]))
+    polys += [_random_poly(rng, 1, 40.0) for _ in range(3)]  # degree 1
+    polys += [_random_poly(rng, 2, 40.0) for _ in range(3)]  # degree 2
+    # zero interior coefficients
+    polys.append(polynomial([XONE, XZERO, XZERO, xcomplex(5.0, 1.0), XZERO, XONE]))
+    polys.append(polynomial([xcomplex(-3.0, 0.2)] + [XZERO] * 9 + [XONE]))
+    return polys
+
+
+def _assert_same_roots(got: RootSet, want: RootSet):
+    """Same converged flag, and each root within 1e-12 relative."""
+    assert got.converged == want.converged
+    lm_g, ph_g = as_arrays(got.roots)
+    lm_w, ph_w = as_arrays(want.roots)
+    _, worst = bottleneck_assignment(relative_distance_matrix(lm_w, ph_w, lm_g, ph_g))
+    assert worst <= 1e-12
+
+
+def test_batched_solve_matches_single_solves():
+    polys = _batch_inputs()
+    batch = aberth_solve_many(polys)
+    assert len(batch) == len(polys)
+    for p, got in zip(polys, batch):
+        assert len(got.roots) == p.degree
+        _assert_same_roots(got, aberth_solve(p))
+
+
+def test_batch_inputs_cover_large_and_small_blocks():
+    sizes = [
+        [sum(j2 - j1 for _, j1, j2 in block) for block in _split_blocks(_polygon_segments(ys, k))]
+        for ys, k in (_exact_logmags(as_arrays(p.coeffs)[0]) for p in _batch_inputs())
+    ]
+    assert [1, 80, 2] in sizes
+    assert any(len(s) > 1 and max(s) <= _BATCH_ROOTS for s in sizes)
+    assert [1] in sizes and [2] in sizes
+
+
+def test_unsettled_block_fails_only_its_own_polynomial():
+    # a linear block is exact after one Newton step and stops at the next
+    # evaluation; the 50-root block cannot settle in two iterations
+    rng = np.random.default_rng(8)
+    dlog = CoefficientDistribution("double_log_slow_tail", beta=1.0, cap=690.0)
+    hard = polynomial(sample_coefficients(dlog, 50, 3).coeffs)
+    easy = [_random_poly(rng, 1, 40.0) for _ in range(3)]
+    easy.append(polynomial([XONE, xcomplex(100.0, 1.0), XONE]))  # two 1-root blocks
+    polys = [easy[0], hard, *easy[1:]]
+    batch = aberth_solve_many(polys, max_iter=2)
+    assert [rs.converged for rs in batch] == [True, False, True, True, True]
+    for p, got in zip(polys, batch):
+        if p is hard:
+            assert got.converged == aberth_solve(p, max_iter=2).converged
+        else:
+            _assert_same_roots(got, aberth_solve(p, max_iter=2))
 
 
 def test_scaling_all_coefficients_leaves_roots_in_place():
