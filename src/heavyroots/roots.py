@@ -373,6 +373,8 @@ class _Block:
 
 
 def _block_frame(ph, ys, k, segs, t0) -> _Block:
+    """The frame of the block of hull segments segs; t0 counts the segments
+    of lower blocks, which sets the phase offsets of the initial iterates."""
     radii = [s[0] for s in segs]
     # The frame center is an exact rational.  A float midrange at scale 1e20+
     # carries an absolute rounding error of whole nats, which displaces the
@@ -397,7 +399,7 @@ def _block_frame(ph, ys, k, segs, t0) -> _Block:
         ec,
         _initial_iterates(segs, sigma, t0),
         sigma,
-        float(segs[0][1]),
+        float(anchor),
         math.exp(alo),
         math.exp(ahi),
     )

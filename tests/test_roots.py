@@ -383,7 +383,9 @@ def test_solver_memory_is_linear_in_the_block_size():
 def _random_poly(rng, n, spread=3.0):
     return polynomial(
         [
-            xcomplex(float(rng.uniform(-spread, spread)), float(rng.uniform(-math.pi, math.pi)))
+            xcomplex(
+                float(rng.uniform(-spread, spread)), float(rng.uniform(-math.pi, math.pi))
+            )
             for _ in range(n + 1)
         ]
     )
@@ -404,7 +406,8 @@ def _batch_inputs():
         xcomplex(420.0 + float(rng.uniform(-0.5, 0.5)), float(rng.uniform(-3, 3)))
         for _ in range(81)
     ]
-    polys.append(polynomial([XONE, *flat, xcomplex(-300.0, 2.0), xcomplex(-700.0, 0.5)]))
+    tail = [xcomplex(-300.0, 2.0), xcomplex(-700.0, 0.5)]
+    polys.append(polynomial([XONE, *flat, *tail]))
     polys += [_random_poly(rng, 1, 40.0) for _ in range(3)]  # degree 1
     polys += [_random_poly(rng, 2, 40.0) for _ in range(3)]  # degree 2
     # zero interior coefficients
@@ -418,27 +421,24 @@ def _assert_same_roots(got: RootSet, want: RootSet):
     assert got.converged == want.converged
     lm_g, ph_g = as_arrays(got.roots)
     lm_w, ph_w = as_arrays(want.roots)
-    _, worst = bottleneck_assignment(relative_distance_matrix(lm_w, ph_w, lm_g, ph_g))
-    assert worst <= 1e-12
+    dist = relative_distance_matrix(lm_w, ph_w, lm_g, ph_g)
+    assert bottleneck_assignment(dist)[1] <= 1e-12
 
 
 def test_batched_solve_matches_single_solves():
     polys = _batch_inputs()
+    sizes = []
+    for p in polys:
+        segs = _polygon_segments(*_exact_logmags(as_arrays(p.coeffs)[0]))
+        sizes.append([sum(j2 - j1 for _, j1, j2 in b) for b in _split_blocks(segs)])
+    assert [1, 80, 2] in sizes  # a block that iterates alone
+    assert any(len(s) > 1 and max(s) <= _BATCH_ROOTS for s in sizes)
+    assert [1] in sizes and [2] in sizes
     batch = aberth_solve_many(polys)
     assert len(batch) == len(polys)
     for p, got in zip(polys, batch):
         assert len(got.roots) == p.degree
         _assert_same_roots(got, aberth_solve(p))
-
-
-def test_batch_inputs_cover_large_and_small_blocks():
-    sizes = [
-        [sum(j2 - j1 for _, j1, j2 in block) for block in _split_blocks(_polygon_segments(ys, k))]
-        for ys, k in (_exact_logmags(as_arrays(p.coeffs)[0]) for p in _batch_inputs())
-    ]
-    assert [1, 80, 2] in sizes
-    assert any(len(s) > 1 and max(s) <= _BATCH_ROOTS for s in sizes)
-    assert [1] in sizes and [2] in sizes
 
 
 def test_unsettled_block_fails_only_its_own_polynomial():
