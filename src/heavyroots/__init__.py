@@ -1,160 +1,32 @@
 """Log-polar arithmetic, root solving, and Monte Carlo experiments for
-polynomials whose random coefficients span hundreds of orders of magnitude."""
+polynomials whose random coefficients span hundreds of orders of magnitude.
 
-from .xnum import (
-    TAU,
-    SaturationError,
-    XComplex,
-    XReal,
-    XZERO,
-    XONE,
-    XMINUS_ONE,
-    XR_ZERO,
-    XR_ONE,
-    from_complex,
-    from_float,
-    phase_distance,
-    softplus,
-    to_complex,
-    wrap_phase,
-    xabs,
-    xadd,
-    xcmp,
-    xcomplex,
-    xconj,
-    xdiv,
-    xlogsumexp,
-    xmul,
-    xneg,
-    xpow_int,
-    xreal,
-    xroot_k,
-    xsub,
-)
-from .sampler import (
-    PHASE_MODELS,
-    VARIANTS,
-    CoefficientDistribution,
-    CoefficientVector,
-    derive_seed,
-    max_over_sum_statistic,
-    sample_coefficients,
-    tail_probability,
-)
-from .roots import (
-    Polynomial,
-    PredictedRoots,
-    RootSet,
-    aberth_solve,
-    newton_polygon_radii,
-    polynomial,
-    predicted_roots,
-    reverse,
-    trim,
-)
-from .localization import (
-    CertificateEvents,
-    PelletCertificate,
-    associated_polynomial,
-    check_matching_condition,
-    check_product_criterion,
-    count_annulus,
-    count_sector,
-    evaluate_certificate_events,
-    max_dominates_sum,
-    pellet_certify,
-    product_condition,
-    threshold_condition,
-    threshold_logmag,
-)
-from .matcher import MatchResult, match_roots, relative_distance
-from .experiments import (
-    KINDS,
-    ExperimentConfig,
-    TrialRecord,
-    config_from_dict,
-    config_to_dict,
-    emit_outputs,
-    load_config,
-    run_experiment,
-    sector_histogram,
-    stable_formula,
-    summarize,
-)
+The package root re-exports the names README documents; everything else is
+reached through its module (xnum, xvec, sampler, roots, localization,
+matcher, experiments, cli).
+"""
+
+from .sampler import CoefficientDistribution, sample_coefficients
+from .roots import aberth_solve, aberth_solve_many, polynomial, predicted_roots, trim
+from .localization import evaluate_certificate_events, pellet_certify
+from .matcher import match_roots
+from .experiments import ExperimentConfig, emit_outputs, load_config, run_experiment
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "TAU",
-    "SaturationError",
-    "XComplex",
-    "XReal",
-    "XZERO",
-    "XONE",
-    "XMINUS_ONE",
-    "XR_ZERO",
-    "XR_ONE",
-    "from_complex",
-    "from_float",
-    "phase_distance",
-    "softplus",
-    "to_complex",
-    "wrap_phase",
-    "xabs",
-    "xadd",
-    "xcmp",
-    "xcomplex",
-    "xconj",
-    "xdiv",
-    "xlogsumexp",
-    "xmul",
-    "xneg",
-    "xpow_int",
-    "xreal",
-    "xroot_k",
-    "xsub",
-    "PHASE_MODELS",
-    "VARIANTS",
     "CoefficientDistribution",
-    "CoefficientVector",
-    "derive_seed",
-    "max_over_sum_statistic",
     "sample_coefficients",
-    "tail_probability",
-    "Polynomial",
-    "PredictedRoots",
-    "RootSet",
     "aberth_solve",
-    "newton_polygon_radii",
+    "aberth_solve_many",
     "polynomial",
     "predicted_roots",
-    "reverse",
     "trim",
-    "CertificateEvents",
-    "PelletCertificate",
-    "associated_polynomial",
-    "check_matching_condition",
-    "check_product_criterion",
-    "count_annulus",
-    "count_sector",
     "evaluate_certificate_events",
-    "max_dominates_sum",
     "pellet_certify",
-    "product_condition",
-    "threshold_condition",
-    "threshold_logmag",
-    "MatchResult",
     "match_roots",
-    "relative_distance",
-    "KINDS",
     "ExperimentConfig",
-    "TrialRecord",
-    "config_from_dict",
-    "config_to_dict",
     "emit_outputs",
     "load_config",
     "run_experiment",
-    "sector_histogram",
-    "stable_formula",
-    "summarize",
 ]

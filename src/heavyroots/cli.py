@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 
 from .localization import evaluate_certificate_events, pellet_certify
@@ -21,23 +20,21 @@ from .experiments import (
     root_to_dict,
     run_experiment,
 )
-from .roots import aberth_solve, trim
+from .roots import Polynomial, aberth_solve, trim
 from .sampler import (
     PHASE_MODELS,
     VARIANTS,
     CoefficientDistribution,
     CoefficientVector,
+    argmax_index,
     sample_coefficients,
 )
 from .xnum import XComplex, XZERO, xcomplex
+from .xvec import as_arrays, from_arrays
 
 
-def _coeff_to_dict(c: XComplex) -> dict:
-    return {
-        "zero": c.zero,
-        "logmag": format(c.logmag, ".17g"),
-        "phase": format(c.phase, ".17g"),
-    }
+def _to_dicts(lm, ph) -> list[dict]:
+    return [root_to_dict(z) for z in from_arrays(lm, ph)]
 
 
 def _coeff_from_dict(d: dict) -> XComplex:
@@ -63,13 +60,12 @@ def _write_json(path: str, payload: dict):
         raise OSError(f"writing {path}: {e}") from e
 
 
-def _argmax_modulus(coeffs: list[XComplex]) -> int:
-    where, best = 0, -math.inf
-    for j, c in enumerate(coeffs):
-        lm = -math.inf if c.zero else c.logmag
-        if lm > best:
-            where, best = j, lm
-    return where
+def _read_polynomial(path: str) -> tuple[dict, Polynomial, int]:
+    """The file's JSON, its trimmed polynomial and zero-root multiplicity."""
+    data = _read_coefficient_file(path)
+    coeffs = [_coeff_from_dict(d) for d in data["coefficients"]]
+    p, zero_mult, _ = trim(*as_arrays(coeffs))
+    return data, p, zero_mult
 
 
 def _cmd_sample(args) -> int:
@@ -87,16 +83,14 @@ def _cmd_sample(args) -> int:
             "seed": c.seed,
             "tau": c.tau,
             "clamp_count": c.clamp_count,
-            "coefficients": [_coeff_to_dict(x) for x in c.coeffs],
+            "coefficients": _to_dicts(c.lm, c.ph),
         },
     )
     return 0
 
 
 def _cmd_solve(args) -> int:
-    data = _read_coefficient_file(args.input)
-    coeffs = [_coeff_from_dict(d) for d in data["coefficients"]]
-    p, zero_mult, _ = trim(coeffs)
+    _, p, zero_mult = _read_polynomial(args.input)
     rs = aberth_solve(p, tol=args.tol, max_iter=args.max_iter)
     _write_json(
         args.output,
@@ -104,20 +98,19 @@ def _cmd_solve(args) -> int:
             "degree": p.degree,
             "zero_root_multiplicity": zero_mult,
             "converged": rs.converged,
-            "roots": [root_to_dict(z) for z in rs.roots],
-            "residuals": list(rs.residuals),
+            "roots": _to_dicts(rs.lm, rs.ph),
+            "residuals": rs.residuals.tolist(),
         },
     )
     return 0
 
 
 def _cmd_certify(args) -> int:
-    data = _read_coefficient_file(args.input)
-    coeffs = [_coeff_from_dict(d) for d in data["coefficients"]]
-    p, _, _ = trim(coeffs)
-    tau = _argmax_modulus(list(p.coeffs))
+    data, p, _ = _read_polynomial(args.input)
+    tau = argmax_index(p.lm)
     cv = CoefficientVector(
-        coeffs=p.coeffs,
+        lm=p.lm,
+        ph=p.ph,
         tau=tau,
         seed=int(data.get("seed", 0)),
         clamp_count=int(data.get("clamp_count", 0)),

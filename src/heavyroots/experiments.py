@@ -15,7 +15,9 @@ max(1, _CHUNK_ROOTS // n) per chunk, one chunk per worker-thread task.  A
 chunk samples its polynomials, computes their certificate events, solves them
 all in one ``aberth_solve_many`` call -- whose small blocks share a single
 stacked iteration, so numpy's per-call cost is paid once per step rather
-than once per block -- and then builds each trial's record.
+than once per block -- and then builds each trial's record.  Coefficients
+and roots stay (logmag, phase) arrays through all of it; the record is the
+one place roots become XComplex values, for serialization.
 
 Every trial is a pure function of (config, degree, trial index): per-trial
 seeds come from a counter-based derivation, and which trials share a chunk
@@ -36,6 +38,8 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+
+import numpy as np
 
 from .localization import (
     CertificateEvents,
@@ -59,6 +63,7 @@ from .sampler import (
     sample_coefficients,
 )
 from .xnum import XComplex
+from .xvec import from_arrays
 
 KINDS = ("annulus", "matching", "stable_compare", "sector_uniformity")
 
@@ -142,17 +147,9 @@ def sector_histogram(rs: RootSet) -> tuple[int, ...]:
     aligned with the boundaries therefore bin deterministically, one per
     sector.
     """
-    counts = [0] * _SECTORS
-    width = 2.0 * math.pi / _SECTORS
-    for r in rs.roots:
-        t = (r.phase + math.pi) / width
-        idx = math.ceil(t - 1e-9) - 1
-        if idx >= _SECTORS:
-            idx = _SECTORS - 1
-        if idx < 0:
-            idx = 0
-        counts[idx] += 1
-    return tuple(counts)
+    t = (rs.ph + math.pi) / (2.0 * math.pi / _SECTORS)
+    idx = np.clip(np.ceil(t - 1e-9) - 1, 0, _SECTORS - 1).astype(np.int64)
+    return tuple(np.bincount(idx, minlength=_SECTORS).tolist())
 
 
 def _record(
@@ -199,7 +196,7 @@ def _record(
         matching_bound_holds=events.matching_bound_holds,
         match_holds=match_holds,
         worst_rel_error=worst,
-        roots=rs.roots,
+        roots=tuple(from_arrays(rs.lm, rs.ph)),
         predicted_inner_logmag=inner_lm,
         predicted_outer_logmag=outer_lm,
     )
@@ -216,7 +213,7 @@ def _run_chunk(config: ExperimentConfig, n: int, trials: range) -> list[TrialRec
     events = [
         evaluate_certificate_events(c, config.epsilon, config.delta) for c in vecs
     ]
-    solved = aberth_solve_many([polynomial(c.coeffs) for c in vecs])
+    solved = aberth_solve_many([polynomial(c.lm, c.ph) for c in vecs])
     return [
         _record(config, t, c, ev, rs)
         for t, c, ev, rs in zip(trials, vecs, events, solved)

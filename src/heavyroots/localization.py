@@ -5,6 +5,11 @@ as stated, with no hidden slack: an annulus certificate, a matching bound for
 a dominant interior coefficient, a product-form sufficient criterion, and the
 dominance events used by the Monte Carlo experiments.
 
+Only moduli matter here, so every function reads the log-modulus array of
+its input (xvec's representation, -inf for an exact zero): a sum of moduli is
+a log-sum-exp over an array, and the moduli of c_j / c_n are the array minus
+one entry.
+
 The annulus certificate relies on the classical fact that if the associated
 polynomial (modulus coefficients with the k-th negated) is negative at some
 positive radius rho, the original polynomial has exactly k roots with
@@ -22,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .roots import Polynomial, RootSet, polynomial
+from .roots import Polynomial, RootSet
 from .sampler import CoefficientVector
-from .xnum import XReal, XR_ZERO, xabs, xdiv, xlogsumexp, softplus
+from .xvec import logsumexp_vec
 
 _PHI_MARGIN = -1e-9  # certified boundaries must reach at least this deep
 
@@ -66,23 +71,16 @@ def associated_polynomial(p: Polynomial, k: int) -> Polynomial:
     n = p.degree
     if not (1 <= k <= n - 1):
         raise ValueError("k must be an interior index")
-    out = []
-    for j, c in enumerate(p.coeffs):
-        if c.zero:
-            out.append(c)
-        else:
-            out.append(type(c)(False, c.logmag, math.pi if j == k else 0.0))
-    return Polynomial(tuple(out))
+    ph = np.zeros(n + 1)
+    if p.lm[k] > -math.inf:  # an exact zero keeps phase 0
+        ph[k] = math.pi
+    return Polynomial(p.lm, ph)
 
 
 def _phi_data(p: Polynomial, k: int):
-    js = []
-    lms = []
-    for j, c in enumerate(p.coeffs):
-        if j != k and not c.zero:
-            js.append(float(j))
-            lms.append(c.logmag)
-    return np.array(js), np.array(lms), float(k), p.coeffs[k].logmag
+    j = np.arange(p.lm.size)
+    keep = (j != k) & (p.lm > -math.inf)
+    return j[keep].astype(np.float64), p.lm[keep], float(k), float(p.lm[k])
 
 
 def _make_phi(p: Polynomial, k: int):
@@ -111,7 +109,7 @@ def pellet_certify(p: Polynomial, k: int) -> PelletCertificate | None:
     n = p.degree
     if not (1 <= k <= n - 1):
         raise ValueError("k must be an interior index")
-    if p.coeffs[k].zero:
+    if p.lm[k] == -math.inf:
         return None
     phi, dphi, blo, bhi = _make_phi(p, k)
 
@@ -179,33 +177,31 @@ def check_matching_condition(p: Polynomial, k: int, eps: float) -> bool:
         raise ValueError("eps must be in (0, 1)")
     if not (1 <= k <= n - 1):
         raise ValueError("k must be an interior index")
-    lead = p.coeffs[n]
-    if lead.zero or lead.logmag != 0.0:
+    if p.lm[n] != 0.0:
         raise ValueError("polynomial must be normalized to unit leading modulus")
-    if p.coeffs[k].zero:
+    return _matching_bound(p.lm, k, eps)
+
+
+def _matching_bound(a: np.ndarray, k: int, eps: float) -> bool:
+    """The matching condition on the log-moduli a of a monic polynomial."""
+    if a[k] == -math.inf:
         return False
-    total = xlogsumexp([xabs(c) for j, c in enumerate(p.coeffs) if j != k])
+    n = a.size - 1
+    total = float(logsumexp_vec(np.delete(a, k)))
     rhs = (
         math.log1p(-eps / n)
         + (n - k) * math.log(eps / (n + eps))
-        + p.coeffs[k].logmag / (n - k)
+        + float(a[k]) / (n - k)
     )
-    return total.logmag <= rhs
+    return total <= rhs
 
 
-def product_condition(a: list[XReal], k: int) -> bool:
-    """2n^2 * sum_{j != k} log(1+a_j) <= log(1+a_k) for nonnegative entries."""
-    n = len(a) - 1
-    s = 0.0
-    for j, v in enumerate(a):
-        if j == k:
-            continue
-        if v.sign < 0:
-            raise ValueError("entries must be nonnegative")
-        if v.sign == 1:
-            s += softplus(v.logmag)
-    rhs = softplus(a[k].logmag) if a[k].sign == 1 else 0.0
-    return 2.0 * n * n * s <= rhs
+def product_condition(a: np.ndarray, k: int) -> bool:
+    """2n^2 * sum_{j != k} log(1 + e^a_j) <= log(1 + e^a_k) for the
+    log-moduli a (-inf for a zero entry)."""
+    n = a.size - 1
+    s = float(np.sum(np.logaddexp(0.0, np.delete(a, k))))
+    return 2.0 * n * n * s <= float(np.logaddexp(0.0, a[k]))
 
 
 def threshold_logmag(n: int, eps: float) -> float:
@@ -215,17 +211,17 @@ def threshold_logmag(n: int, eps: float) -> float:
     return math.log(2.0) - t * math.log1p(-eps) - u * math.log(eps) + u * math.log(n + eps)
 
 
-def threshold_condition(a: list[XReal], k: int, eps: float) -> bool:
-    if a[k].sign == 0:
-        return False
-    return a[k].logmag >= threshold_logmag(len(a) - 1, eps)
+def threshold_condition(a: np.ndarray, k: int, eps: float) -> bool:
+    """a_k >= threshold_logmag(n, eps) for the log-moduli a."""
+    return bool(a[k] >= threshold_logmag(a.size - 1, eps))
 
 
-def check_product_criterion(a: list[XReal], k: int, eps: float) -> bool:
-    """Both the product condition and the magnitude threshold at index k."""
+def check_product_criterion(a: np.ndarray, k: int, eps: float) -> bool:
+    """Both the product condition and the magnitude threshold at index k of
+    the log-moduli a."""
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must be in (0, 1)")
-    n = len(a) - 1
+    n = a.size - 1
     if not (1 <= k <= n - 1):
         raise ValueError("k must be an interior index")
     return product_condition(a, k) and threshold_condition(a, k, eps)
@@ -235,14 +231,10 @@ def max_dominates_sum(c: CoefficientVector, delta: float) -> bool:
     """|c_tau| strictly exceeds e^delta times the sum of the other moduli."""
     if not (delta > 0.0):
         raise ValueError("delta must be positive")
-    tau = c.tau
-    others = xlogsumexp([xabs(x) for j, x in enumerate(c.coeffs) if j != tau])
-    if others.sign == 0:
+    others = float(logsumexp_vec(np.delete(c.lm, c.tau)))
+    if others == -math.inf:
         return True
-    top = c.coeffs[tau]
-    if top.zero:
-        return False
-    return top.logmag > delta + others.logmag
+    return bool(c.lm[c.tau] > delta + others)
 
 
 def evaluate_certificate_events(
@@ -256,14 +248,11 @@ def evaluate_certificate_events(
     md = max_dominates_sum(c, delta) if delta is not None else None
     if tau == 0 or tau == n:
         return CertificateEvents(False, False, False, True, eps, delta, md)
-    lead = c.coeffs[n]
-    ratios = [
-        XReal(1, x.logmag - lead.logmag) if not x.zero else XR_ZERO for x in c.coeffs
-    ]
-    pd = product_condition(ratios, tau)
-    tm = threshold_condition(ratios, tau, eps)
-    monic = polynomial([xdiv(x, lead) for x in c.coeffs])
-    mb = check_matching_condition(monic, tau, eps)
+    # log-moduli of the monic-normalized coefficients c_j / c_n
+    a = c.lm - c.lm[n]
+    pd = product_condition(a, tau)
+    tm = threshold_condition(a, tau, eps)
+    mb = _matching_bound(a, tau, eps)
     return CertificateEvents(pd, tm, mb, False, eps, delta, md)
 
 
@@ -271,11 +260,11 @@ def count_annulus(rs: RootSet, a_logmag: float, b_logmag: float) -> int:
     """Roots with a_logmag <= logmag <= b_logmag, boundaries inclusive."""
     if a_logmag > b_logmag:
         raise ValueError("annulus bounds out of order")
-    return sum(1 for r in rs.roots if a_logmag <= r.logmag <= b_logmag)
+    return int(np.count_nonzero((a_logmag <= rs.lm) & (rs.lm <= b_logmag)))
 
 
 def count_sector(rs: RootSet, alpha: float, beta: float) -> int:
     """Roots with alpha <= phase <= beta, boundaries inclusive."""
     if not (-math.pi <= alpha < beta <= math.pi):
         raise ValueError("sector bounds out of order")
-    return sum(1 for r in rs.roots if alpha <= r.phase <= beta)
+    return int(np.count_nonzero((alpha <= rs.ph) & (rs.ph <= beta)))

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .roots import PredictedRoots, RootSet
-from .xnum import EXP_MAX, XComplex, XMINUS_ONE, xadd, xdiv
-from .xvec import as_arrays, relative_distance_matrix
+from .xvec import relative_distance_matrix
 
 
 @dataclass(frozen=True, slots=True)
@@ -33,16 +32,6 @@ class MatchResult:
     permutation: tuple[int, ...] | None
     worst_relative_error: float
     degenerate: bool
-
-
-def relative_distance(z: XComplex, w: XComplex) -> float:
-    """|z/w - 1| as a float; inf when the ratio overflows the float range."""
-    d = xadd(xdiv(z, w), XMINUS_ONE)
-    if d.zero:
-        return 0.0
-    if d.logmag > EXP_MAX:
-        return math.inf
-    return math.exp(d.logmag)
 
 
 def greedy_assignment(dist: np.ndarray) -> tuple[np.ndarray, float]:
@@ -158,12 +147,11 @@ def match_roots(
         raise ValueError("eps must be in (0, 1)")
     if predicted is None:
         return MatchResult(False, None, math.inf, True)
-    targets = predicted.all_roots()
-    if len(computed.roots) != n or len(targets) != n:
+    if computed.lm.size != n or predicted.ph.size != n:
         raise ValueError("root counts must both equal n")
-    lm_w, ph_w = as_arrays(targets)
-    lm_z, ph_z = as_arrays(computed.roots)
-    dist = relative_distance_matrix(lm_w, ph_w, lm_z, ph_z)
+    dist = relative_distance_matrix(
+        predicted.lm, predicted.ph, computed.lm, computed.ph
+    )
 
     perm, worst = greedy_assignment(dist)
     bound = max(float(dist.min(axis=1).max()), float(dist.min(axis=0).max()))

@@ -1,5 +1,9 @@
 """Polynomial container, Newton-polygon analysis, and the root solver.
 
+A Polynomial, a RootSet and a PredictedRoots hold read-only (logmag, phase)
+float64 arrays, the one representation of xvec (exact zero is logmag =
+-inf); polynomial and trim are the validating constructors.
+
 Coefficient magnitudes can span thousands of nats, so no fixed-precision
 method applied to raw values is meaningful.  The solver therefore works on the
 Newton polygon of the coefficients: the upper convex hull of (j, logmag c_j)
@@ -37,15 +41,8 @@ from fractions import Fraction
 import numpy as np
 
 from .sampler import CoefficientVector
-from .xnum import (
-    TAU,
-    SaturationError,
-    XComplex,
-    wrap_phase,
-    xdiv,
-    xneg,
-)
-from .xvec import as_arrays, from_arrays, wrap_phase_vec
+from .xnum import TAU, SaturationError
+from .xvec import freeze, wrap_phase_vec
 
 _GOLDEN = 0.6180339887498949
 _BLOCK_GAP = 60.0  # nats between circle radii that force a block split
@@ -64,74 +61,98 @@ _PAIR_ELEMS = 1 << 17  # entries in one chunk of pairwise root differences
 _BATCH_ROOTS = 64  # blocks up to this size share one stacked iteration
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Polynomial:
-    """Coefficients indexed by power, lowest first; both ends nonzero."""
+    """Coefficients as read-only (logmag, phase) arrays, lowest power first;
+    both ends nonzero.  Build one with polynomial or trim, which validate."""
 
-    coeffs: tuple[XComplex, ...]
+    lm: np.ndarray
+    ph: np.ndarray
+
+    def __post_init__(self) -> None:
+        freeze(self.lm, self.ph)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return self.lm.size - 1
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class RootSet:
-    roots: tuple[XComplex, ...]
-    residuals: tuple[float, ...]
+    """Roots as read-only (logmag, phase) arrays, sorted by logmag then phase,
+    with the relative backward error of each."""
+
+    lm: np.ndarray
+    ph: np.ndarray
+    residuals: np.ndarray
     converged: bool
 
+    def __post_init__(self) -> None:
+        freeze(self.lm, self.ph, self.residuals)
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, eq=False)
 class PredictedRoots:
-    """Closed-form roots of the two dominant-coefficient binomial equations."""
+    """Closed-form roots of the two dominant-coefficient binomial equations:
+    tau roots of log-modulus inner_radius, then the rest at outer_radius,
+    with their phases in one read-only array in that order."""
 
-    inner: tuple[XComplex, ...]
-    outer: tuple[XComplex, ...]
+    tau: int
+    inner_radius: float
+    outer_radius: float
+    ph: np.ndarray
+
+    def __post_init__(self) -> None:
+        freeze(self.ph)
 
     @property
-    def inner_radius(self) -> float:
-        return self.inner[0].logmag
-
-    @property
-    def outer_radius(self) -> float:
-        return self.outer[0].logmag
-
-    def all_roots(self) -> tuple[XComplex, ...]:
-        return self.inner + self.outer
+    def lm(self) -> np.ndarray:
+        """Log-moduli of all the roots, inner then outer."""
+        counts = [self.tau, self.ph.size - self.tau]
+        return np.repeat([self.inner_radius, self.outer_radius], counts)
 
 
-def polynomial(coeffs) -> Polynomial:
-    cs = tuple(coeffs)
-    if not cs:
+def _checked(lm, ph) -> tuple[np.ndarray, np.ndarray]:
+    """Copies of lm and ph as float64 arrays, after checking that they are
+    one coefficient vector: equal 1-D shapes, no NaN, no logmag = +inf and
+    finite phases.  A zero coefficient is logmag = -inf."""
+    lm = np.array(lm, dtype=np.float64)
+    ph = np.array(ph, dtype=np.float64)
+    if lm.ndim != 1 or lm.shape != ph.shape:
+        raise ValueError("logmag and phase must be 1-D arrays of one length")
+    if np.isnan(lm).any() or (lm == math.inf).any() or not np.isfinite(ph).all():
+        raise ValueError("invalid component in a coefficient vector")
+    return lm, ph
+
+
+def polynomial(lm, ph) -> Polynomial:
+    """The polynomial with coefficients exp(lm[j] + i ph[j]), validated."""
+    lm, ph = _checked(lm, ph)
+    if lm.size == 0:
         raise ValueError("empty coefficient list")
-    if cs[0].zero or cs[-1].zero:
+    if lm[0] == -math.inf or lm[-1] == -math.inf:
         raise ValueError("constant and leading coefficients must be nonzero")
-    return Polynomial(cs)
+    return Polynomial(lm, ph)
 
 
-def trim(raw_coeffs) -> tuple[Polynomial, int, int]:
+def trim(lm, ph) -> tuple[Polynomial, int, int]:
     """Strip zero coefficients at both ends.
 
     Returns (polynomial, zero_root_multiplicity, degree_deficit): the number
     of exact zero roots stripped from the low end and the drop in degree from
     the high end.
     """
-    cs = list(raw_coeffs)
-    if not cs or all(c.zero for c in cs):
+    lm, ph = _checked(lm, ph)
+    nonzero = np.flatnonzero(lm != -math.inf)
+    if nonzero.size == 0:
         raise ValueError("all coefficients are zero")
-    hi = len(cs) - 1
-    while cs[hi].zero:
-        hi -= 1
-    lo = 0
-    while cs[lo].zero:
-        lo += 1
-    return polynomial(cs[lo : hi + 1]), lo, len(cs) - 1 - hi
+    lo, hi = int(nonzero[0]), int(nonzero[-1])
+    return Polynomial(lm[lo : hi + 1], ph[lo : hi + 1]), lo, lm.size - 1 - hi
 
 
 def reverse(p: Polynomial) -> Polynomial:
     """Coefficients in reverse order; roots become reciprocals."""
-    return Polynomial(tuple(reversed(p.coeffs)))
+    return Polynomial(p.lm[::-1], p.ph[::-1])
 
 
 def _exact_logmags(lm: np.ndarray) -> tuple[list[int | None], int]:
@@ -198,8 +219,7 @@ def _polygon_segments(ys: list[int | None], k: int) -> list[tuple[Fraction, int,
 
 def newton_polygon_radii(p: Polynomial) -> list[tuple[float, int]]:
     """(modulus_logmag, count) per hull segment; counts sum to the degree."""
-    lm, _ = as_arrays(p.coeffs)
-    segs = _polygon_segments(*_exact_logmags(lm))
+    segs = _polygon_segments(*_exact_logmags(p.lm))
     return [(float(r), j2 - j1) for r, j1, j2 in segs]
 
 
@@ -566,11 +586,10 @@ def aberth_solve_many(
     for i, p in enumerate(polys):
         if p.degree < 1:
             raise ValueError("degree must be at least 1")
-        lm, ph = as_arrays(p.coeffs)
-        ys, k = _exact_logmags(lm)
+        ys, k = _exact_logmags(p.lm)
         t0 = 0
         for segs in _split_blocks(_polygon_segments(ys, k)):
-            blocks.append(_block_frame(ph, ys, k, segs, t0))
+            blocks.append(_block_frame(p.ph, ys, k, segs, t0))
             owner.append(i)
             t0 += len(segs)
     small = [j for j, b in enumerate(blocks) if b.u0.size <= _BATCH_ROOTS]
@@ -596,10 +615,8 @@ def aberth_solve_many(
         rph = np.concatenate([s[1] for s in parts])
         rres = np.concatenate([s[2] for s in parts])
         order = np.lexsort((rph, rlm))
-        roots = tuple(from_arrays(rlm[order], rph[order]))
-        residuals = tuple(float(x) for x in rres[order])
-        converged = all(s[3] for s in parts) and max(residuals) <= _RESIDUAL_OK
-        out.append(RootSet(roots, residuals, converged))
+        converged = all(s[3] for s in parts) and bool(rres.max() <= _RESIDUAL_OK)
+        out.append(RootSet(rlm[order], rph[order], rres[order], converged))
     return out
 
 
@@ -608,14 +625,14 @@ def aberth_solve(p: Polynomial, tol: float = 1e-12, max_iter: int = 200) -> Root
     return aberth_solve_many([p], tol, max_iter)[0]
 
 
-def _circle_logmag(num: XComplex, den: XComplex, k: int) -> float:
-    """(logmag num - logmag den) / k with one correct rounding.
+def _circle_logmag(num: float, den: float, k: int) -> float:
+    """(num - den) / k with one correct rounding.
 
     At huge scales a root logmag's own ulp can exceed any matching tolerance,
     so the predicted radius must be the nearest float to the exact value --
     the same value the solver reports -- rather than a twice-rounded one.
     """
-    return float((Fraction(num.logmag) - Fraction(den.logmag)) / k)
+    return float((Fraction(num) - Fraction(den)) / k)
 
 
 def predicted_roots(c: CoefficientVector) -> PredictedRoots:
@@ -628,16 +645,18 @@ def predicted_roots(c: CoefficientVector) -> PredictedRoots:
     tau = c.tau
     if tau == 0 or tau == n:
         raise ValueError("argmax coefficient at an extreme index is degenerate")
-    base_in = xneg(xdiv(c.coeffs[0], c.coeffs[tau]))
-    base_out = xneg(xdiv(c.coeffs[tau], c.coeffs[n]))
-    lm_in = _circle_logmag(c.coeffs[0], c.coeffs[tau], tau)
-    lm_out = _circle_logmag(c.coeffs[tau], c.coeffs[n], n - tau)
-    inner = tuple(
-        XComplex(False, lm_in, wrap_phase((base_in.phase + TAU * m) / tau))
-        for m in range(tau)
+    lm = c.lm.tolist()
+    # phases of -c_0/c_tau and -c_tau/c_n, then of their k-th roots
+    base = wrap_phase_vec(wrap_phase_vec(c.ph[[0, tau]] - c.ph[[tau, n]]) + math.pi)
+    ph = np.concatenate(
+        [
+            (base[0] + TAU * np.arange(tau)) / tau,
+            (base[1] + TAU * np.arange(n - tau)) / (n - tau),
+        ]
     )
-    outer = tuple(
-        XComplex(False, lm_out, wrap_phase((base_out.phase + TAU * m) / (n - tau)))
-        for m in range(n - tau)
+    return PredictedRoots(
+        tau,
+        _circle_logmag(lm[0], lm[tau], tau),
+        _circle_logmag(lm[tau], lm[n], n - tau),
+        wrap_phase_vec(ph),
     )
-    return PredictedRoots(inner, outer)

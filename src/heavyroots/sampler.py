@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .xnum import EXP_MAX, XComplex, XReal, xcmp, xlogsumexp
-from .xvec import wrap_phase_vec, from_arrays
+from .xnum import EXP_MAX, XReal, xcmp, xlogsumexp
+from .xvec import freeze, wrap_phase_vec
 
 MASK64 = (1 << 64) - 1
 
@@ -65,19 +65,24 @@ class CoefficientDistribution:
             raise ValueError("cap must be in (0, 700] to keep logmag finite")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class CoefficientVector:
-    """n+1 nonzero coefficients, the argmax index tau (minimal on ties),
-    the seed that produced them, and how many draws hit the cap."""
+    """n+1 coefficients as read-only (logmag, phase) arrays, lowest power
+    first, with the argmax index tau (minimal on ties), the seed that
+    produced them, and how many draws hit the cap."""
 
-    coeffs: tuple[XComplex, ...]
+    lm: np.ndarray
+    ph: np.ndarray
     tau: int
     seed: int
     clamp_count: int
 
+    def __post_init__(self) -> None:
+        freeze(self.lm, self.ph)
+
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return self.lm.size - 1
 
 
 def _splitmix64(x: int) -> int:
@@ -135,6 +140,11 @@ def _phases(dist: CoefficientDistribution, rng: np.random.Generator, m: int) -> 
     return np.zeros(m)
 
 
+def argmax_index(lm: np.ndarray) -> int:
+    """Index of the largest log-modulus, the first one on ties."""
+    return int(np.argmax(lm))
+
+
 def sample_coefficients(
     dist: CoefficientDistribution, n: int, seed: int
 ) -> CoefficientVector:
@@ -145,9 +155,7 @@ def sample_coefficients(
     v = _open_uniform(rng, n + 1)
     lm, clamps = magnitudes_from_uniforms(dist, v)
     ph = _phases(dist, rng, n + 1)
-    coeffs = tuple(from_arrays(lm, ph))
-    tau = int(np.argmax(lm))  # first index on ties
-    return CoefficientVector(coeffs, tau, seed & MASK64, clamps)
+    return CoefficientVector(lm, ph, argmax_index(lm), seed & MASK64, clamps)
 
 
 def tail_probability(dist: CoefficientDistribution, t: XReal) -> float:

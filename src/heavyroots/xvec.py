@@ -1,15 +1,18 @@
-"""Vectorized counterparts of the scalar log-magnitude/phase operations.
+"""The array representation of extended-range values, and operations on it.
 
-Arrays represent batches of extended-range values as parallel float64 arrays
-(logmag, phase); exact zero is encoded as logmag = -inf with phase 0, which
-flows through max-factored accumulations as an exp() underflow to 0.
+Coefficients and roots travel through the library as one pair of parallel
+float64 arrays (logmag, phase): entry j is exp(logmag[j] + i phase[j]).
+Exact zero is logmag = -inf with phase 0, which flows through max-factored
+accumulations as an exp() underflow to 0.  This module owns that format:
+as_arrays and from_arrays convert to and from the scalar XComplex of xnum,
+which only the serialization edges (CLI files, trial records) use.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .xnum import TAU, XComplex, XZERO, XComplex as _XC
+from .xnum import TAU, XComplex, XZERO
 
 _TINY = 1e-300
 
@@ -21,6 +24,13 @@ def wrap_phase_vec(phi: np.ndarray) -> np.ndarray:
     return r + 0.0
 
 
+def freeze(*arrays: np.ndarray) -> None:
+    """Make arrays read-only; the containers that hold them hand the same
+    arrays to several stages of a trial."""
+    for a in arrays:
+        a.flags.writeable = False
+
+
 def as_arrays(values) -> tuple[np.ndarray, np.ndarray]:
     """(logmag, phase) arrays from a sequence of XComplex; zeros map to -inf."""
     lm = np.array([-np.inf if v.zero else v.logmag for v in values], dtype=np.float64)
@@ -29,15 +39,16 @@ def as_arrays(values) -> tuple[np.ndarray, np.ndarray]:
 
 
 def from_arrays(lm: np.ndarray, ph: np.ndarray) -> list[XComplex]:
+    """XComplex values from (logmag, phase) arrays; -inf maps to XZERO."""
     out = []
     for l, p in zip(lm.tolist(), ph.tolist()):
-        out.append(XZERO if l == -np.inf else _XC(False, l, p))
+        out.append(XZERO if l == -np.inf else XComplex(False, l, p))
     return out
 
 
 def logsumexp_vec(a: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Real log-sum-exp along an axis; all-(-inf) slices give -inf."""
-    m = np.max(a, axis=axis)
+    """Real log-sum-exp along an axis; empty and all-(-inf) slices give -inf."""
+    m = np.max(a, axis=axis, initial=-np.inf)
     safe = np.where(np.isfinite(m), m, 0.0)
     s = np.sum(np.exp(a - np.expand_dims(safe, axis)), axis=axis)
     with np.errstate(divide="ignore"):

@@ -17,6 +17,11 @@ The block-frame oracles are slower, independent formulations of the solver's
 frame arithmetic: the Newton-polygon hull and the frame shift in Fraction
 arithmetic, and a dense log-domain evaluation that builds (n+1) x m arrays of
 term logs and phases.
+
+The scalar-chain oracles compute, one XComplex or XReal at a time, what the
+library computes on (logmag, phase) arrays: the relative distance of two
+roots, the certificate events of a coefficient vector (XReal ratio lists,
+xdiv, xlogsumexp, softplus) and the predicted two-circle roots.
 """
 
 from __future__ import annotations
@@ -27,15 +32,25 @@ from fractions import Fraction
 
 import numpy as np
 
+from heavyroots.localization import CertificateEvents, threshold_logmag
 from heavyroots.xnum import (
+    EXP_MAX,
+    TAU,
     XComplex,
+    XMINUS_ONE,
     XONE,
+    XReal,
+    XR_ZERO,
     XZERO,
     from_complex,
     phase_distance,
+    softplus,
     to_complex,
+    wrap_phase,
+    xabs,
     xadd,
     xdiv,
+    xlogsumexp,
     xmul,
     xneg,
     xpow_int,
@@ -323,3 +338,85 @@ def dense_frame_sums(shift, ph, u):
     w = np.exp(tl - np.max(tl, axis=0)[None, :])
     terms = w * (np.cos(tp) + 1j * np.sin(tp))
     return terms.sum(axis=0), (jpow[:, None] * terms).sum(axis=0), w.sum(axis=0)
+
+
+def relative_distance(z: XComplex, w: XComplex) -> float:
+    """|z/w - 1| as a float; inf when the ratio overflows the float range."""
+    d = xadd(xdiv(z, w), XMINUS_ONE)
+    if d.zero:
+        return 0.0
+    if d.logmag > EXP_MAX:
+        return math.inf
+    return math.exp(d.logmag)
+
+
+def _scalar_product_condition(a: list[XReal], k: int) -> bool:
+    n = len(a) - 1
+    s = 0.0
+    for j, v in enumerate(a):
+        if j != k and v.sign == 1:
+            s += softplus(v.logmag)
+    rhs = softplus(a[k].logmag) if a[k].sign == 1 else 0.0
+    return 2.0 * n * n * s <= rhs
+
+
+def _scalar_matching_condition(monic: list[XComplex], k: int, eps: float) -> bool:
+    n = len(monic) - 1
+    if monic[k].zero:
+        return False
+    total = xlogsumexp([xabs(c) for j, c in enumerate(monic) if j != k])
+    rhs = (
+        math.log1p(-eps / n)
+        + (n - k) * math.log(eps / (n + eps))
+        + monic[k].logmag / (n - k)
+    )
+    return total.logmag <= rhs
+
+
+def _scalar_max_dominates(coeffs: list[XComplex], tau: int, delta: float) -> bool:
+    others = xlogsumexp([xabs(x) for j, x in enumerate(coeffs) if j != tau])
+    if others.sign == 0:
+        return True
+    top = coeffs[tau]
+    if top.zero:
+        return False
+    return top.logmag > delta + others.logmag
+
+
+def scalar_certificate_events(
+    coeffs: list[XComplex], tau: int, eps: float, delta: float | None = None
+) -> CertificateEvents:
+    """evaluate_certificate_events, one scalar at a time."""
+    n = len(coeffs) - 1
+    md = _scalar_max_dominates(coeffs, tau, delta) if delta is not None else None
+    if tau == 0 or tau == n:
+        return CertificateEvents(False, False, False, True, eps, delta, md)
+    lead = coeffs[n]
+    ratios = [
+        XReal(1, x.logmag - lead.logmag) if not x.zero else XR_ZERO for x in coeffs
+    ]
+    pd = _scalar_product_condition(ratios, tau)
+    tm = ratios[tau].sign != 0 and ratios[tau].logmag >= threshold_logmag(n, eps)
+    mb = _scalar_matching_condition([xdiv(x, lead) for x in coeffs], tau, eps)
+    return CertificateEvents(pd, tm, mb, False, eps, delta, md)
+
+
+def scalar_predicted_roots(
+    coeffs: list[XComplex], tau: int
+) -> tuple[list[XComplex], list[XComplex]]:
+    """(inner, outer): the roots of z^tau = -c_0/c_tau and of
+    z^(n-tau) = -c_tau/c_n, each radius rounded once from the exact value."""
+    n = len(coeffs) - 1
+
+    def circle(num: XComplex, den: XComplex, k: int) -> list[XComplex]:
+        base = xneg(xdiv(num, den))
+        lm = float((Fraction(num.logmag) - Fraction(den.logmag)) / k)
+        return [
+            XComplex(False, lm, wrap_phase((base.phase + TAU * m) / k))
+            for m in range(k)
+        ]
+
+    return (
+        circle(coeffs[0], coeffs[tau], tau),
+        circle(coeffs[tau], coeffs[n], n - tau),
+    )

@@ -29,6 +29,7 @@ from heavyroots.localization import (
 from heavyroots.roots import aberth_solve, polynomial
 from heavyroots.sampler import CoefficientDistribution
 from heavyroots.xnum import XReal, xcomplex, xlogsumexp
+from heavyroots.xvec import as_arrays, from_arrays
 
 _EMPTY_RATE_FLOOR = 0.9
 _MATCH_RATE_FLOOR = 0.8
@@ -134,9 +135,9 @@ def test_criterion_01_solver_matches_closed_forms(capsys):
         oracle = (
             quadratic_roots(*coeffs) if degree == 2 else cubic_roots(*coeffs)
         )
-        rs = aberth_solve(polynomial(coeffs))
+        rs = aberth_solve(polynomial(*as_arrays(coeffs)))
         assert rs.converged
-        worst = max(worst, best_root_matching(list(rs.roots), oracle))
+        worst = max(worst, best_root_matching(from_arrays(rs.lm, rs.ph), oracle))
     elapsed = time.monotonic() - start
     ok = worst <= 1e-8 and elapsed < 10.0
     _report(
@@ -160,7 +161,7 @@ def test_criterion_02_certified_annuli_are_sound(capsys):
         lms[k] += rng.uniform(20.0, 120.0)
         phases = rng.uniform(-math.pi, math.pi, n + 1)
         p = polynomial(
-            [xcomplex(float(l), float(ph)) for l, ph in zip(lms, phases)]
+            *as_arrays([xcomplex(float(l), float(ph)) for l, ph in zip(lms, phases)])
         )
         cert = pellet_certify(p, k)
         if cert is None:
@@ -168,8 +169,8 @@ def test_criterion_02_certified_annuli_are_sound(capsys):
         certified += 1
         rs = aberth_solve(p)
         assert rs.converged
-        inside = sum(1 for r in rs.roots if r.logmag < cert.r_logmag)
-        outside = sum(1 for r in rs.roots if r.logmag > cert.R_logmag)
+        inside = int(np.count_nonzero(rs.lm < cert.r_logmag))
+        outside = int(np.count_nonzero(rs.lm > cert.R_logmag))
         between = n - inside - outside
         if not (inside == k and outside == n - k and between == 0):
             _report(
@@ -194,17 +195,17 @@ def test_criterion_03_sufficient_condition_implies_bound(capsys):
         n = int(rng.integers(2, 9))
         k = int(rng.integers(1, n))
         eps = float(rng.uniform(0.05, 0.95))
-        a = [XReal(1, float(rng.uniform(-3.0, 3.0))) for _ in range(n + 1)]
-        a[k] = XReal(1, float(rng.uniform(0.0, 2.2 * threshold_logmag(n, eps))))
+        a = np.array([rng.uniform(-3.0, 3.0) for _ in range(n + 1)])
+        a[k] = rng.uniform(0.0, 2.2 * threshold_logmag(n, eps))
         if not check_product_criterion(a, k, eps):
             continue
         fired += 1
-        terms = [v for j, v in enumerate(a) if j != k] + [XReal(1, 0.0)]
-        lhs = xlogsumexp(terms)
+        terms = [XReal(1, float(v)) for j, v in enumerate(a) if j != k]
+        lhs = xlogsumexp(terms + [XReal(1, 0.0)])
         rhs = (
             math.log1p(-eps / n)
             + (n - k) * math.log(eps / (n + eps))
-            + a[k].logmag / (n - k)
+            + float(a[k]) / (n - k)
         )
         if lhs.logmag > rhs:
             violations += 1

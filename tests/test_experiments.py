@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -30,7 +31,13 @@ from heavyroots.experiments import (
 from heavyroots.matcher import match_roots
 from heavyroots.roots import RootSet, aberth_solve, polynomial, predicted_roots
 from heavyroots.sampler import CoefficientDistribution, CoefficientVector
-from heavyroots.xnum import XMINUS_ONE, XONE, XZERO, xcomplex
+from heavyroots.xnum import XMINUS_ONE, XONE, XZERO, XComplex, xcomplex
+from heavyroots.xvec import as_arrays
+
+
+def _rootset(roots):
+    lm, ph = as_arrays(roots)
+    return RootSet(lm, ph, np.zeros(lm.size), True)
 
 
 def _dist(variant="slow_tail_magnitude", beta=1.0, cap=690.0, phase="uniform_phase"):
@@ -74,24 +81,21 @@ def test_stable_formula_limits():
 
 
 def test_sector_histogram_eighth_roots_of_unity():
-    rs = aberth_solve(polynomial([XMINUS_ONE] + [XZERO] * 7 + [XONE]))
+    rs = aberth_solve(polynomial(*as_arrays([XMINUS_ONE] + [XZERO] * 7 + [XONE])))
     assert sector_histogram(rs) == (1,) * 8
 
 
 def test_sector_histogram_boundary_phases_exact():
     phases = [-math.pi + k * math.pi / 4.0 for k in range(1, 9)]
-    rs = RootSet(tuple(xcomplex(0.0, p) for p in phases), (0.0,) * 8, True)
+    rs = _rootset([xcomplex(0.0, p) for p in phases])
     assert sector_histogram(rs) == (1,) * 8
 
 
 def test_sector_histogram_interior_phases():
-    rs = RootSet(
-        (xcomplex(0.0, -3.0), xcomplex(0.0, 0.1), xcomplex(0.0, 0.2)),
-        (0.0,) * 3,
-        True,
-    )
+    rs = _rootset([xcomplex(0.0, -3.0), xcomplex(0.0, 0.1), xcomplex(0.0, 0.2)])
     h = sector_histogram(rs)
     assert h[0] == 1 and h[4] == 2 and sum(h) == 3
+    assert all(type(k) is int for k in h)
 
 
 # --- config plumbing ------------------------------------------------------------------
@@ -164,8 +168,9 @@ def test_unit_modulus_roots_never_leave_the_annulus():
 
 def test_matching_run_overwhelming_middle_coefficient():
     # (1, e^{e^20}, 1): the prediction is deterministic and essentially exact
-    c = CoefficientVector((XONE, xcomplex(math.exp(20.0), 0.0), XONE), 1, 0, 0)
-    rs = aberth_solve(polynomial(list(c.coeffs)))
+    lm, ph = as_arrays([XONE, xcomplex(math.exp(20.0), 0.0), XONE])
+    c = CoefficientVector(lm, ph, 1, 0, 0)
+    rs = aberth_solve(polynomial(c.lm, c.ph))
     pred = predicted_roots(c)
     for eps in (1e-6, 0.5):
         res = match_roots(rs, pred, eps, 2)
@@ -201,6 +206,27 @@ def test_certificate_chain_consistency_inequality():
             continue
         slack = (entry["degenerate_tau"] + entry["nonconverged"]) / entry["trials"]
         assert entry["certificate_rate"] <= entry["match_rate"] + slack
+
+
+def test_records_hold_plain_python_values():
+    # records.csv tests isinstance(v, bool) and json rejects numpy integers,
+    # so a numpy scalar in a record would change or break the outputs
+    cfg = _config(
+        kind="matching",
+        degrees=(12,),
+        trials=6,
+        distribution=_dist("double_log_slow_tail"),
+        master_seed=21,
+    )
+    _, records = run_experiment(cfg)
+    assert any(r.match_holds is not None for r in records)
+    for r in records:
+        for f in dataclasses.fields(r):
+            v = getattr(r, f.name)
+            if isinstance(v, tuple):
+                assert all(type(x) in (int, XComplex) for x in v), f.name
+            else:
+                assert type(v) in (int, float, bool, type(None)), f.name
 
 
 def test_worker_count_never_changes_results():
@@ -411,6 +437,21 @@ def test_cli_sample_solve_certify_plot(tmp_path, capsys):
     replot = tmp_path / "replot.svg"
     assert cli_main(["plot", "-i", str(outdir / "records.csv"), "-o", str(replot)]) == 0
     assert replot.read_text().startswith("<svg")
+
+
+def test_cli_certify_takes_the_lower_tied_index_as_tau(tmp_path, capsys):
+    # a zero interior coefficient below two tied maxima at powers 2 and 3
+    def coeff(logmag, phase):
+        return {"zero": False, "logmag": str(logmag), "phase": str(phase)}
+
+    path = tmp_path / "tied.json"
+    coeffs = [coeff(0, 0), {"zero": True}, coeff(5, 1), coeff(5, -1), coeff(0, 2)]
+    path.write_text(json.dumps({"coefficients": coeffs}), encoding="utf-8")
+    assert cli_main(["certify", "-i", str(path), "--delta", "1.0"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["events"]["tau"] == 2
+    assert payload["events"]["degenerate"] is False
+    assert payload["pellet"]["k"] == 2
 
 
 def test_cli_failure_prints_error_record(tmp_path, capsys):

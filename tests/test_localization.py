@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import scalar_certificate_events
 from heavyroots.localization import (
     associated_polynomial,
     check_matching_condition,
@@ -21,56 +22,70 @@ from heavyroots.localization import (
     threshold_logmag,
 )
 from heavyroots.roots import aberth_solve, polynomial
-from heavyroots.sampler import CoefficientVector
+from heavyroots.sampler import (
+    VARIANTS,
+    CoefficientDistribution,
+    CoefficientVector,
+    sample_coefficients,
+)
 from heavyroots.xnum import (
     XONE,
-    XR_ZERO,
     XReal,
     XZERO,
     from_float,
     xcomplex,
     xlogsumexp,
 )
+from heavyroots.xvec import as_arrays, from_arrays
 
 
 def _vec(*coeffs, tau=None):
-    cs = tuple(coeffs)
+    lm, ph = as_arrays(coeffs)
     if tau is None:
-        tau = max(range(len(cs)), key=lambda j: -math.inf if cs[j].zero else cs[j].logmag)
-    return CoefficientVector(cs, tau, 0, 0)
+        tau = int(np.argmax(lm))
+    return CoefficientVector(lm, ph, tau, 0, 0)
+
+
+def _poly(*coeffs):
+    return polynomial(*as_arrays(coeffs))
 
 
 def _poly_from_lms(lms, phases=None):
     ph = phases or [0.0] * len(lms)
-    return polynomial([xcomplex(l, p) for l, p in zip(lms, ph)])
+    return _poly(*(xcomplex(l, p) for l, p in zip(lms, ph)))
+
+
+def _log_moduli(*values):
+    """A log-modulus array; None marks an exact zero."""
+    return np.array([-math.inf if v is None else v for v in values])
 
 
 # --- associated polynomial ------------------------------------------------------------
 
 
 def test_associated_polynomial_negates_only_k():
-    p = polynomial([XONE, from_float(10.0), XONE])
+    p = _poly(XONE, from_float(10.0), XONE)
     g = associated_polynomial(p, 1)
-    assert [c.phase for c in g.coeffs] == [0.0, math.pi, 0.0]
-    assert [c.logmag for c in g.coeffs] == [0.0, math.log(10.0), 0.0]
+    assert g.ph.tolist() == [0.0, math.pi, 0.0]
+    assert g.lm.tolist() == [0.0, math.log(10.0), 0.0]
 
 
 def test_associated_polynomial_takes_moduli():
-    p = polynomial([xcomplex(2.0, -1.3), xcomplex(0.5, 3.0), xcomplex(1.0, 0.7)])
+    p = _poly(xcomplex(2.0, -1.3), xcomplex(0.5, 3.0), xcomplex(1.0, 0.7))
     g = associated_polynomial(p, 1)
-    assert [c.logmag for c in g.coeffs] == [2.0, 0.5, 1.0]
-    assert [c.phase for c in g.coeffs] == [0.0, math.pi, 0.0]
+    assert g.lm.tolist() == [2.0, 0.5, 1.0]
+    assert g.ph.tolist() == [0.0, math.pi, 0.0]
 
 
 def test_associated_polynomial_keeps_zero_coefficients():
-    p = polynomial([XONE, XZERO, from_float(-2.0), XONE])
+    p = _poly(XONE, XZERO, from_float(-2.0), XONE)
     g = associated_polynomial(p, 2)
-    assert g.coeffs[1].zero
-    assert g.coeffs[2].phase == math.pi
+    assert g.lm[1] == -math.inf and g.ph[1] == 0.0
+    assert g.ph[2] == math.pi
 
 
 def test_associated_polynomial_rejects_boundary_k():
-    p = polynomial([XONE, XONE, XONE])
+    p = _poly(XONE, XONE, XONE)
     with pytest.raises(ValueError):
         associated_polynomial(p, 0)
     with pytest.raises(ValueError):
@@ -84,7 +99,7 @@ def test_pellet_certificate_simple_quadratic():
     # z^2 + 10 z + 1: the associated polynomial z^2 - 10 z + 1 is negative
     # exactly on (5 - sqrt(24), 5 + sqrt(24)); the certified boundaries sit
     # strictly inside and the polynomial's own roots straddle the annulus.
-    p = polynomial([XONE, from_float(10.0), XONE])
+    p = _poly(XONE, from_float(10.0), XONE)
     pc = pellet_certify(p, 1)
     assert pc is not None and pc.k == 1
     lo = math.log(5.0 - math.sqrt(24.0))
@@ -94,17 +109,17 @@ def test_pellet_certificate_simple_quadratic():
     assert lo < pc.r_logmag < pc.R_logmag < hi
 
     rs = aberth_solve(p)
-    assert sum(1 for r in rs.roots if r.logmag < pc.r_logmag) == 1
-    assert sum(1 for r in rs.roots if r.logmag > pc.R_logmag) == 1
+    assert np.count_nonzero(rs.lm < pc.r_logmag) == 1
+    assert np.count_nonzero(rs.lm > pc.R_logmag) == 1
     assert count_annulus(rs, pc.r_logmag, pc.R_logmag) == 0
 
 
 def test_pellet_no_certificate_for_balanced_quadratic():
-    assert pellet_certify(polynomial([XONE, XONE, XONE]), 1) is None
+    assert pellet_certify(_poly(XONE, XONE, XONE), 1) is None
 
 
 def test_pellet_certificate_huge_middle_coefficient():
-    p = polynomial([XONE, xcomplex(100.0, 0.0), XONE])
+    p = _poly(XONE, xcomplex(100.0, 0.0), XONE)
     pc = pellet_certify(p, 1)
     assert pc is not None
     assert -100.0 < pc.r_logmag < -100.0 + 1e-6
@@ -112,12 +127,12 @@ def test_pellet_certificate_huge_middle_coefficient():
 
 
 def test_pellet_zero_pivot_coefficient_returns_none():
-    p = polynomial([XONE, XZERO, XONE, XONE])
+    p = _poly(XONE, XZERO, XONE, XONE)
     assert pellet_certify(p, 1) is None
 
 
 def test_pellet_rejects_boundary_k():
-    p = polynomial([XONE, XONE, XONE])
+    p = _poly(XONE, XONE, XONE)
     with pytest.raises(ValueError):
         pellet_certify(p, 0)
     with pytest.raises(ValueError):
@@ -142,8 +157,8 @@ def test_pellet_consistency_with_solver():
         found += 1
         rs = aberth_solve(p)
         assert rs.converged
-        assert sum(1 for r in rs.roots if r.logmag < pc.r_logmag) == k
-        assert sum(1 for r in rs.roots if r.logmag > pc.R_logmag) == n - k
+        assert np.count_nonzero(rs.lm < pc.r_logmag) == k
+        assert np.count_nonzero(rs.lm > pc.R_logmag) == n - k
         assert count_annulus(rs, pc.r_logmag, pc.R_logmag) == 0
     assert found >= 40
 
@@ -152,20 +167,20 @@ def test_pellet_consistency_with_solver():
 
 
 def test_matching_condition_rejects_all_ones():
-    p = polynomial([XONE, XONE, XONE, XONE])
+    p = _poly(XONE, XONE, XONE, XONE)
     assert not check_matching_condition(p, 1, 0.5)
     assert not check_matching_condition(p, 2, 0.5)
 
 
 def test_matching_condition_dominant_middle():
-    p = polynomial([xcomplex(-200.0, 0.0), xcomplex(200.0, 0.0), XONE])
+    p = _poly(xcomplex(-200.0, 0.0), xcomplex(200.0, 0.0), XONE)
     assert check_matching_condition(p, 1, 0.5)
 
 
 def test_matching_condition_monotone_in_pivot_magnitude():
     seen_true = False
     for lm in [0.0, 5.0, 10.0, 20.0, 40.0, 80.0]:
-        p = polynomial([XONE, xcomplex(lm, 0.0), XONE])
+        p = _poly(XONE, xcomplex(lm, 0.0), XONE)
         ok = check_matching_condition(p, 1, 0.5)
         if seen_true:
             assert ok
@@ -174,18 +189,18 @@ def test_matching_condition_monotone_in_pivot_magnitude():
 
 
 def test_matching_condition_requires_monic():
-    p = polynomial([XONE, from_float(10.0), from_float(2.0)])
+    p = _poly(XONE, from_float(10.0), from_float(2.0))
     with pytest.raises(ValueError):
         check_matching_condition(p, 1, 0.5)
 
 
 def test_matching_condition_zero_pivot_is_false():
-    p = polynomial([XONE, XZERO, XONE, XONE])
+    p = _poly(XONE, XZERO, XONE, XONE)
     assert not check_matching_condition(p, 1, 0.5)
 
 
 def test_matching_condition_validates_inputs():
-    p = polynomial([XONE, from_float(10.0), XONE])
+    p = _poly(XONE, from_float(10.0), XONE)
     for eps in (0.0, 1.0, -0.5):
         with pytest.raises(ValueError):
             check_matching_condition(p, 1, eps)
@@ -199,19 +214,13 @@ def test_matching_condition_validates_inputs():
 def test_product_condition_boundary_255():
     # n=2, k=1, others (1, 0): the requirement is 8 log 2 <= log(1 + A),
     # which flips exactly at A = 255.
-    one = XReal(1, 0.0)
-    assert product_condition([one, XReal(1, math.log(255.1)), XR_ZERO], 1)
-    assert not product_condition([one, XReal(1, math.log(254.9)), XR_ZERO], 1)
+    assert product_condition(_log_moduli(0.0, math.log(255.1), None), 1)
+    assert not product_condition(_log_moduli(0.0, math.log(254.9), None), 1)
 
 
 def test_product_condition_trivial_when_others_vanish():
-    assert product_condition([XR_ZERO, XR_ZERO, XR_ZERO], 1)
-    assert product_condition([XR_ZERO, XReal(1, -50.0), XR_ZERO], 1)
-
-
-def test_product_condition_rejects_negative_entries():
-    with pytest.raises(ValueError):
-        product_condition([XReal(-1, 0.0), XReal(1, 10.0), XR_ZERO], 1)
+    assert product_condition(_log_moduli(None, None, None), 1)
+    assert product_condition(_log_moduli(None, -50.0, None), 1)
 
 
 def test_threshold_logmag_plug_in():
@@ -228,20 +237,13 @@ def test_threshold_logmag_plug_in():
 
 def test_threshold_condition_flips_at_threshold():
     t = threshold_logmag(2, 0.5)
-    others = [XR_ZERO, None, XR_ZERO]
-    above = list(others)
-    above[1] = XReal(1, t + 1e-9)
-    below = list(others)
-    below[1] = XReal(1, t - 1e-9)
-    assert threshold_condition(above, 1, 0.5)
-    assert not threshold_condition(below, 1, 0.5)
-    zero = list(others)
-    zero[1] = XR_ZERO
-    assert not threshold_condition(zero, 1, 0.5)
+    assert threshold_condition(_log_moduli(None, t + 1e-9, None), 1, 0.5)
+    assert not threshold_condition(_log_moduli(None, t - 1e-9, None), 1, 0.5)
+    assert not threshold_condition(_log_moduli(None, None, None), 1, 0.5)
 
 
 def test_product_criterion_validates_inputs():
-    a = [XR_ZERO, XReal(1, 500.0), XR_ZERO]
+    a = _log_moduli(None, 500.0, None)
     with pytest.raises(ValueError):
         check_product_criterion(a, 1, 0.0)
     with pytest.raises(ValueError):
@@ -251,10 +253,8 @@ def test_product_criterion_validates_inputs():
 
 
 def test_product_criterion_fires_on_inflated_entry():
-    a = [XReal(1, 0.0), XReal(1, 500.0), XR_ZERO]
-    assert check_product_criterion(a, 1, 0.5)
-    weak = [XReal(1, 0.0), XReal(1, 1.0), XR_ZERO]
-    assert not check_product_criterion(weak, 1, 0.5)
+    assert check_product_criterion(_log_moduli(0.0, 500.0, None), 1, 0.5)
+    assert not check_product_criterion(_log_moduli(0.0, 1.0, None), 1, 0.5)
 
 
 def test_product_criterion_implies_conclusion_inequality():
@@ -268,18 +268,18 @@ def test_product_criterion_implies_conclusion_inequality():
         n = int(rng.integers(2, 9))
         k = int(rng.integers(1, n))
         eps = float(rng.uniform(0.05, 0.95))
-        a = [XReal(1, float(rng.uniform(-3.0, 3.0))) for _ in range(n + 1)]
+        a = np.array([rng.uniform(-3.0, 3.0) for _ in range(n + 1)])
         scale = threshold_logmag(n, eps)
-        a[k] = XReal(1, float(rng.uniform(0.0, 2.2 * scale)))
+        a[k] = rng.uniform(0.0, 2.2 * scale)
         if not check_product_criterion(a, k, eps):
             continue
         fired += 1
-        terms = [v for j, v in enumerate(a) if j != k] + [XReal(1, 0.0)]
-        lhs = xlogsumexp(terms)
+        terms = [XReal(1, float(v)) for j, v in enumerate(a) if j != k]
+        lhs = xlogsumexp(terms + [XReal(1, 0.0)])
         rhs = (
             math.log1p(-eps / n)
             + (n - k) * math.log(eps / (n + eps))
-            + a[k].logmag / (n - k)
+            + float(a[k]) / (n - k)
         )
         assert lhs.logmag <= rhs
     assert fired >= 50
@@ -306,7 +306,7 @@ def test_max_dominates_requires_positive_delta():
 
 
 def test_max_dominates_when_others_vanish():
-    c = CoefficientVector((XZERO, XONE, XZERO), 1, 0, 0)
+    c = _vec(XZERO, XONE, XZERO, tau=1)
     assert max_dominates_sum(c, 123.0)
 
 
@@ -321,16 +321,14 @@ def test_max_dominates_empty_annulus_mechanism():
         j = int(rng.integers(0, n + 1))
         lms[j] += rng.uniform(0.0, 30.0)
         phases = rng.uniform(-math.pi, math.pi, n + 1)
-        coeffs = tuple(xcomplex(float(l), float(p)) for l, p in zip(lms, phases))
-        tau = int(np.argmax([c.logmag for c in coeffs]))
-        c = CoefficientVector(coeffs, tau, 0, 0)
+        c = _vec(*(xcomplex(float(l), float(p)) for l, p in zip(lms, phases)))
         delta = float(rng.uniform(0.5, 4.0))
         if not max_dominates_sum(c, delta):
             continue
         if c.tau in (0, c.degree):
             continue
         fired += 1
-        rs = aberth_solve(polynomial(list(coeffs)))
+        rs = aberth_solve(polynomial(c.lm, c.ph))
         assert rs.converged
         assert count_annulus(rs, -delta / n, delta / n) == 0
     assert fired >= 25
@@ -399,9 +397,8 @@ def test_events_imply_matching_bound():
         eps = float(rng.uniform(0.1, 0.9))
         lms[k] += rng.uniform(0.0, 2.2 * threshold_logmag(n, eps))
         phases = rng.uniform(-math.pi, math.pi, n + 1)
-        coeffs = tuple(xcomplex(float(l), float(p)) for l, p in zip(lms, phases))
-        tau = int(np.argmax([c.logmag for c in coeffs]))
-        ev = evaluate_certificate_events(CoefficientVector(coeffs, tau, 0, 0), eps)
+        c = _vec(*(xcomplex(float(l), float(p)) for l, p in zip(lms, phases)))
+        ev = evaluate_certificate_events(c, eps)
         if ev.degenerate or not (ev.product_dominates and ev.threshold_met):
             continue
         fired += 1
@@ -415,7 +412,7 @@ def test_events_imply_matching_bound():
 def _cube_roots_of_unity():
     from heavyroots.xnum import XMINUS_ONE
 
-    return aberth_solve(polynomial([XMINUS_ONE, XZERO, XZERO, XONE]))
+    return aberth_solve(_poly(XMINUS_ONE, XZERO, XZERO, XONE))
 
 
 def test_count_annulus_cube_roots():
@@ -434,7 +431,7 @@ def test_count_sector_cube_roots():
 def test_counters_on_two_scale_roots():
     # roots -e^{50} and -e^{-50}
     s = math.log(math.exp(50.0) + math.exp(-50.0))
-    p = polynomial([XONE, xcomplex(s, 0.0), XONE])
+    p = _poly(XONE, xcomplex(s, 0.0), XONE)
     rs = aberth_solve(p)
     assert count_annulus(rs, -1.0, 1.0) == 0
     assert count_annulus(rs, -60.0, 60.0) == 2
@@ -451,3 +448,51 @@ def test_counters_validate_bounds():
         count_sector(rs, -4.0, 0.0)
     with pytest.raises(ValueError):
         count_sector(rs, 0.0, 4.0)
+
+
+# --- the array path against the scalar chain -------------------------------------
+
+
+def _oracle_vectors():
+    """Sampled vectors of every variant, plus edge inputs made on purpose:
+    zero interior coefficients, tied maxima, tau = 0 and tau = n, and
+    double-log vectors whose cap ties many draws at the maximum."""
+    out = []
+    for v, variant in enumerate(VARIANTS):
+        dist = CoefficientDistribution(variant)
+        for n in (5, 20, 50, 500):
+            out += [sample_coefficients(dist, n, 100 * v + s) for s in range(6)]
+    capped = CoefficientDistribution("double_log_slow_tail", beta=0.5, cap=8.0)
+    out += [sample_coefficients(capped, n, s) for n in (10, 40) for s in range(6)]
+    assert any(c.clamp_count > 1 for c in out)
+    rng = np.random.default_rng(404)
+    edges = []
+    for c in out[::7]:
+        lm, ph, n = c.lm.copy(), c.ph.copy(), c.degree
+        holes = rng.random(n + 1) < 0.3
+        holes[[0, n, c.tau]] = False
+        lm[holes], ph[holes] = -math.inf, 0.0  # zero interior coefficients
+        edges.append((lm, ph))
+        top = float(c.lm.max())
+        for j in (0, n):  # tau at an end
+            raised = c.lm.copy()
+            raised[j] = top + 1.0
+            edges.append((raised, c.ph))
+        tied = c.lm.copy()  # two interior maxima
+        tied[[1, n - 1]] = top + 1.0
+        edges.append((tied, c.ph))
+    edges.append((np.zeros(7), np.zeros(7)))  # every modulus tied
+    for lm, ph in edges:
+        out.append(CoefficientVector(lm, ph, int(np.argmax(lm)), 0, 0))
+    return out
+
+
+def test_certificate_events_match_scalar_oracle():
+    vecs = _oracle_vectors()
+    taus = {c.tau for c in vecs}
+    assert {0, 1} <= taus and any(c.tau == c.degree for c in vecs)
+    for c in vecs:
+        coeffs = from_arrays(c.lm, c.ph)
+        for eps, delta in ((0.5, None), (0.5, 1.0), (0.1, 30.0)):
+            want = scalar_certificate_events(coeffs, c.tau, eps, delta)
+            assert evaluate_certificate_events(c, eps, delta) == want

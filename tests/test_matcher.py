@@ -8,14 +8,18 @@ import sys
 import numpy as np
 import pytest
 
-from oracles import brute_bottleneck, dp_bottleneck, search_bottleneck
+from oracles import (
+    brute_bottleneck,
+    dp_bottleneck,
+    relative_distance,
+    search_bottleneck,
+)
 from heavyroots.matcher import (
     MatchResult,
     _perfect_matching_under,
     bottleneck_assignment,
     greedy_assignment,
     match_roots,
-    relative_distance,
 )
 from heavyroots.roots import (
     PredictedRoots,
@@ -26,10 +30,22 @@ from heavyroots.roots import (
 )
 from heavyroots.sampler import CoefficientVector
 from heavyroots.xnum import XONE, from_complex, xcomplex
+from heavyroots.xvec import as_arrays
 
 
 def _rootset(roots):
-    return RootSet(tuple(roots), tuple(0.0 for _ in roots), True)
+    lm, ph = as_arrays(roots)
+    return RootSet(lm, ph, np.zeros(lm.size), True)
+
+
+def _predicted(inner, outer):
+    """Predicted roots from XComplex values on two circles."""
+    ph = as_arrays(inner + outer)[1]
+    return PredictedRoots(len(inner), inner[0].logmag, outer[0].logmag, ph)
+
+
+def _vec(*coeffs, tau):
+    return CoefficientVector(*as_arrays(coeffs), tau, 0, 0)
 
 
 def _unit_circle(n, offset=0.0):
@@ -161,17 +177,17 @@ def test_greedy_never_beats_bottleneck():
 
 
 def test_match_identical_roots_holds():
-    c = CoefficientVector((XONE, xcomplex(50.0, 0.0), XONE), 1, 0, 0)
+    c = _vec(XONE, xcomplex(50.0, 0.0), XONE, tau=1)
     pred = predicted_roots(c)
-    res = match_roots(_rootset(pred.all_roots()), pred, 0.5, 2)
+    res = match_roots(RootSet(pred.lm, pred.ph, np.zeros(2), True), pred, 0.5, 2)
     assert res.holds and not res.degenerate
     assert res.worst_relative_error == 0.0
     assert sorted(res.permutation) == [0, 1]
 
 
 def test_match_two_scale_quadratic():
-    c = CoefficientVector((XONE, xcomplex(50.0, 0.0), XONE), 1, 0, 0)
-    rs = aberth_solve(polynomial(list(c.coeffs)))
+    c = _vec(XONE, xcomplex(50.0, 0.0), XONE, tau=1)
+    rs = aberth_solve(polynomial(c.lm, c.ph))
     res = match_roots(rs, predicted_roots(c), 0.5, 2)
     assert res.holds
     assert res.worst_relative_error <= 1e-12
@@ -181,7 +197,7 @@ def test_match_rotated_circle_fails():
     # rotating every target by pi/n moves each root a chord of
     # 2 sin(pi/16) ~ 0.39, far beyond eps/n for any eps < 1
     n = 8
-    pred = PredictedRoots(tuple(_unit_circle(4)), tuple(_unit_circle(4)))
+    pred = _predicted(_unit_circle(4), _unit_circle(4))
     rotated = _unit_circle(4, math.pi / n) + _unit_circle(4, math.pi / n)
     res = match_roots(_rootset(rotated), pred, 0.5, n)
     assert not res.holds
@@ -195,15 +211,16 @@ def test_match_worst_error_equals_oracle_value():
     for _ in range(30):
         n = int(rng.integers(2, 8))
         half = n // 2
+        radii = rng.uniform(-5, 5, 2)  # predicted roots lie on two circles
         targets = [
-            xcomplex(float(rng.uniform(-5, 5)), float(rng.uniform(-math.pi, math.pi)))
-            for _ in range(n)
+            xcomplex(float(radii[int(j >= half)]), float(rng.uniform(-math.pi, math.pi)))
+            for j in range(n)
         ]
         computed = [
             xcomplex(float(rng.uniform(-5, 5)), float(rng.uniform(-math.pi, math.pi)))
             for _ in range(n)
         ]
-        pred = PredictedRoots(tuple(targets[:half]), tuple(targets[half:]))
+        pred = _predicted(targets[:half], targets[half:])
         res = match_roots(_rootset(computed), pred, 0.5, n)
         dist = np.array(
             [[relative_distance(z, w) for z in computed] for w in targets]
@@ -216,15 +233,16 @@ def test_match_worst_error_equals_oracle_value():
 def test_match_permutation_symmetry():
     rng = np.random.default_rng(55)
     n = 6
+    radii = rng.uniform(-3, 3, 2)  # predicted roots lie on two circles
     targets = [
-        xcomplex(float(rng.uniform(-3, 3)), float(rng.uniform(-math.pi, math.pi)))
-        for _ in range(n)
+        xcomplex(float(radii[int(j >= 3)]), float(rng.uniform(-math.pi, math.pi)))
+        for j in range(n)
     ]
     computed = [
         xcomplex(t.logmag + float(rng.uniform(-0.2, 0.2)), t.phase)
         for t in targets
     ]
-    pred = PredictedRoots(tuple(targets[:3]), tuple(targets[3:]))
+    pred = _predicted(targets[:3], targets[3:])
     base = match_roots(_rootset(computed), pred, 0.9, n)
     for _ in range(5):
         order = rng.permutation(n)
@@ -243,7 +261,7 @@ def test_match_missing_prediction_is_degenerate():
 
 
 def test_match_validates_inputs():
-    pred = PredictedRoots(tuple(_unit_circle(2)), tuple(_unit_circle(2)))
+    pred = _predicted(_unit_circle(2), _unit_circle(2))
     rs = _rootset(_unit_circle(4))
     for eps in (0.0, 1.0):
         with pytest.raises(ValueError):

@@ -9,8 +9,6 @@ import pytest
 
 from heavyroots.matcher import bottleneck_assignment
 from heavyroots.roots import (
-    Polynomial,
-    PredictedRoots,
     RootSet,
     _BATCH_ROOTS,
     _EXP_FLOOR,
@@ -30,6 +28,7 @@ from heavyroots.roots import (
     trim,
 )
 from heavyroots.sampler import (
+    VARIANTS,
     CoefficientDistribution,
     CoefficientVector,
     sample_coefficients,
@@ -44,7 +43,7 @@ from heavyroots.xnum import (
     wrap_phase,
     xcomplex,
 )
-from heavyroots.xvec import as_arrays, relative_distance_matrix
+from heavyroots.xvec import as_arrays, from_arrays, relative_distance_matrix
 from oracles import (
     best_root_matching,
     cubic_roots,
@@ -52,17 +51,24 @@ from oracles import (
     fraction_frame_shift,
     fraction_polygon_segments,
     quadratic_roots,
-    relative_error,
+    scalar_predicted_roots,
 )
 
 
 def _vec(*coeffs, tau=None):
-    cs = tuple(coeffs)
+    lm, ph = as_arrays(coeffs)
     if tau is None:
-        tau = max(
-            range(len(cs)), key=lambda j: (-math.inf if cs[j].zero else cs[j].logmag, -j)
-        )
-    return CoefficientVector(cs, tau, seed=0, clamp_count=0)
+        tau = int(np.argmax(lm))
+    return CoefficientVector(lm, ph, tau, seed=0, clamp_count=0)
+
+
+def _poly(*coeffs):
+    return polynomial(*as_arrays(coeffs))
+
+
+def _roots(rs):
+    """The roots of a RootSet as XComplex values, for the scalar oracles."""
+    return from_arrays(rs.lm, rs.ph)
 
 
 # --- construction and trim ------------------------------------------------------
@@ -70,63 +76,94 @@ def _vec(*coeffs, tau=None):
 
 def test_polynomial_requires_nonzero_ends():
     with pytest.raises(ValueError):
-        polynomial([XZERO, XONE])
+        _poly(XZERO, XONE)
     with pytest.raises(ValueError):
-        polynomial([XONE, XZERO])
+        _poly(XONE, XZERO)
     with pytest.raises(ValueError):
-        polynomial([])
-    p = polynomial([XONE, XZERO, XONE])
+        polynomial([], [])
+    p = _poly(XONE, XZERO, XONE)
     assert p.degree == 2
 
 
+def test_polynomial_and_trim_reject_invalid_components():
+    inf, nan = math.inf, math.nan
+    bad = [
+        ([0.0, nan, 0.0], [0.0, 0.0, 0.0]),  # NaN log-modulus
+        ([0.0, inf, 0.0], [0.0, 0.0, 0.0]),  # infinite modulus
+        ([0.0, 1.0, 0.0], [0.0, nan, 0.0]),  # NaN phase
+        ([0.0, 1.0, 0.0], [0.0, inf, 0.0]),  # infinite phase
+        ([0.0, 1.0, 0.0], [0.0, 0.0]),  # lengths differ
+        ([[0.0, 1.0]], [[0.0, 0.0]]),  # not 1-D
+        ([nan, 0.0, -inf], [0.0, 0.0, 0.0]),  # NaN at an end is not a zero
+    ]
+    for lm, ph in bad:
+        with pytest.raises(ValueError):
+            polynomial(lm, ph)
+        with pytest.raises(ValueError):
+            trim(lm, ph)
+
+
+def test_containers_hold_read_only_copies():
+    lm, ph = np.array([0.0, 2.0, -1.0]), np.array([0.5, 0.0, 1.0])
+    p = polynomial(lm, ph)
+    lm[1] = 7.0  # the caller's arrays stay theirs
+    assert p.lm.tolist() == [0.0, 2.0, -1.0]
+    rs = aberth_solve(p)
+    for a in (p.lm, p.ph, rs.lm, rs.ph, rs.residuals, reverse(p).lm):
+        assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        p.lm[0] = 1.0
+
+
 def test_trim_strips_both_ends():
-    p, mult, deficit = trim([XZERO, XONE, XONE, XZERO])
-    assert p.coeffs == (XONE, XONE)
+    p, mult, deficit = trim(*as_arrays([XZERO, XONE, XONE, XZERO]))
+    assert p.lm.tolist() == [0.0, 0.0] and p.ph.tolist() == [0.0, 0.0]
     assert p.degree == 1
     assert mult == 1
     assert deficit == 1
 
 
 def test_trim_leaves_clean_input_alone():
-    p, mult, deficit = trim([XONE, XONE])
-    assert p.coeffs == (XONE, XONE)
+    p, mult, deficit = trim(*as_arrays([XONE, XONE]))
+    assert p.lm.tolist() == [0.0, 0.0] and p.ph.tolist() == [0.0, 0.0]
     assert (mult, deficit) == (0, 0)
 
 
 def test_trim_constant_after_two_zero_roots():
     five = from_float(5.0)
-    p, mult, deficit = trim([XZERO, XZERO, five])
+    p, mult, deficit = trim(*as_arrays([XZERO, XZERO, five]))
     assert p.degree == 0
-    assert p.coeffs == (five,)
+    assert from_arrays(p.lm, p.ph) == [five]
     assert (mult, deficit) == (2, 0)
 
 
 def test_trim_rejects_all_zero():
     with pytest.raises(ValueError):
-        trim([XZERO, XZERO])
+        trim(*as_arrays([XZERO, XZERO]))
 
 
 def test_reverse_flips_coefficients():
-    p = polynomial([from_float(2.0), XONE, from_float(3.0)])
+    p = _poly(from_float(2.0), XONE, from_float(3.0))
     q = reverse(p)
-    assert q.coeffs == tuple(reversed(p.coeffs))
+    assert q.lm.tolist() == p.lm.tolist()[::-1]
+    assert q.ph.tolist() == p.ph.tolist()[::-1]
 
 
 # --- hull radii -------------------------------------------------------------------
 
 
 def test_polygon_radii_balanced_quadratic():
-    p = polynomial([XONE, XONE, xcomplex(100.0, 0.0)])
+    p = _poly(XONE, XONE, xcomplex(100.0, 0.0))
     assert newton_polygon_radii(p) == [(-50.0, 2)]
 
 
 def test_polygon_radii_flat_hull():
-    p = polynomial([XMINUS_ONE, XZERO, XZERO, XONE])  # z^3 - 1
+    p = _poly(XMINUS_ONE, XZERO, XZERO, XONE)  # z^3 - 1
     assert newton_polygon_radii(p) == [(0.0, 3)]
 
 
 def test_polygon_radii_split_magnitudes():
-    p = polynomial([XONE, xcomplex(100.0, 0.0), XONE])
+    p = _poly(XONE, xcomplex(100.0, 0.0), XONE)
     assert newton_polygon_radii(p) == [(-100.0, 1), (100.0, 1)]
 
 
@@ -140,7 +177,7 @@ def test_polygon_counts_partition_degree():
         ]
         coeffs[0] = xcomplex(float(rng.uniform(-80, 80)), 0.0)
         coeffs[n] = xcomplex(float(rng.uniform(-80, 80)), 0.0)
-        radii = newton_polygon_radii(polynomial(coeffs))
+        radii = newton_polygon_radii(_poly(*coeffs))
         assert sum(k for _, k in radii) == n
         assert all(radii[i][0] < radii[i + 1][0] for i in range(len(radii) - 1))
 
@@ -277,53 +314,53 @@ def test_stacked_evaluation_matches_dense_evaluation():
 
 
 def test_solve_cube_roots_of_unity():
-    rs = aberth_solve(polynomial([XMINUS_ONE, XZERO, XZERO, XONE]), tol=1e-12)
+    rs = aberth_solve(_poly(XMINUS_ONE, XZERO, XZERO, XONE), tol=1e-12)
     assert rs.converged
-    assert len(rs.roots) == 3
+    assert rs.lm.size == 3
     expected = [-2.0 * math.pi / 3.0, 0.0, 2.0 * math.pi / 3.0]
-    got = sorted(r.phase for r in rs.roots)
+    got = sorted(rs.ph.tolist())
     for g, e in zip(got, expected):
         assert phase_distance(g, e) <= 1e-10
-    assert all(abs(r.logmag) <= 1e-12 for r in rs.roots)
+    assert np.all(np.abs(rs.lm) <= 1e-12)
 
 
 def test_solve_two_scale_quadratic_matches_oracle():
     big = xcomplex(50.0, 0.0)
-    p = polynomial([XONE, big, XONE])
+    p = _poly(XONE, big, XONE)
     rs = aberth_solve(p)
     assert rs.converged
     oracle = quadratic_roots(XONE, big, XONE)
-    assert best_root_matching(list(rs.roots), oracle) <= 1e-10
-    assert sorted(r.logmag for r in rs.roots) == pytest.approx([-50.0, 50.0], abs=1e-10)
-    assert all(phase_distance(r.phase, math.pi) <= 1e-10 for r in rs.roots)
+    assert best_root_matching(_roots(rs), oracle) <= 1e-10
+    assert sorted(rs.lm.tolist()) == pytest.approx([-50.0, 50.0], abs=1e-10)
+    assert all(phase_distance(ph, math.pi) <= 1e-10 for ph in rs.ph.tolist())
 
 
 def test_solve_factored_quadratic():
-    p = polynomial([from_float(6.0), from_float(-5.0), XONE])
+    p = _poly(from_float(6.0), from_float(-5.0), XONE)
     rs = aberth_solve(p)
     # convergence stops on a backward-error bound, so the forward error on
     # these well-conditioned roots is a few 1e-12, not machine epsilon
-    lms = sorted(r.logmag for r in rs.roots)
+    lms = sorted(rs.lm.tolist())
     assert lms[0] == pytest.approx(math.log(2.0), abs=1e-9)
     assert lms[1] == pytest.approx(math.log(3.0), abs=1e-9)
-    for r in rs.roots:
-        assert phase_distance(r.phase, 0.0) <= 1e-10
+    for ph in rs.ph.tolist():
+        assert phase_distance(ph, 0.0) <= 1e-10
 
 
 def test_solve_degree_one():
-    rs = aberth_solve(polynomial([from_float(3.0), from_float(-2.0)]))
-    assert len(rs.roots) == 1
-    assert rs.roots[0].logmag == pytest.approx(math.log(1.5), abs=1e-12)
-    assert phase_distance(rs.roots[0].phase, 0.0) <= 1e-10
+    rs = aberth_solve(_poly(from_float(3.0), from_float(-2.0)))
+    assert rs.lm.size == 1
+    assert rs.lm[0] == pytest.approx(math.log(1.5), abs=1e-12)
+    assert phase_distance(float(rs.ph[0]), 0.0) <= 1e-10
 
 
 def test_solve_extreme_magnitude_quadratic():
-    p = polynomial([XONE, xcomplex(1e200, 0.0), XONE])
+    p = _poly(XONE, xcomplex(1e200, 0.0), XONE)
     rs = aberth_solve(p)
     assert rs.converged
-    assert sorted(r.logmag for r in rs.roots) == [-1e200, 1e200]
-    for r in rs.roots:
-        assert phase_distance(r.phase, math.pi) <= 1e-10
+    assert sorted(rs.lm.tolist()) == [-1e200, 1e200]
+    for ph in rs.ph.tolist():
+        assert phase_distance(ph, math.pi) <= 1e-10
 
 
 def test_solver_backward_error_and_root_count_on_random_instances():
@@ -334,9 +371,9 @@ def test_solver_backward_error_and_root_count_on_random_instances():
             xcomplex(float(rng.uniform(-30, 30)), float(rng.uniform(-math.pi, math.pi)))
             for _ in range(n + 1)
         ]
-        rs = aberth_solve(polynomial(coeffs))
-        assert len(rs.roots) == n
-        assert len(rs.residuals) == n
+        rs = aberth_solve(_poly(*coeffs))
+        assert rs.lm.size == n
+        assert rs.residuals.size == n
         if rs.converged:
             assert max(rs.residuals) <= 1e-10
 
@@ -349,14 +386,14 @@ def test_solver_oracle_equivalence_spot_check():
             xcomplex(float(rng.uniform(-100, 100)), float(rng.uniform(-math.pi, math.pi)))
             for _ in range(3)
         ]
-        rs = aberth_solve(polynomial(cq))
-        worst = max(worst, best_root_matching(list(rs.roots), quadratic_roots(*cq)))
+        rs = aberth_solve(_poly(*cq))
+        worst = max(worst, best_root_matching(_roots(rs), quadratic_roots(*cq)))
         cc = [
             xcomplex(float(rng.uniform(-100, 100)), float(rng.uniform(-math.pi, math.pi)))
             for _ in range(4)
         ]
-        rs = aberth_solve(polynomial(cc))
-        worst = max(worst, best_root_matching(list(rs.roots), cubic_roots(*cc)))
+        rs = aberth_solve(_poly(*cc))
+        worst = max(worst, best_root_matching(_roots(rs), cubic_roots(*cc)))
     assert worst <= 1e-8
 
 
@@ -364,11 +401,11 @@ def test_solver_memory_is_linear_in_the_block_size():
     # one 1200-root block: a single (n+1) x m or m x m complex array would
     # take 22 MiB, and the solver's chunks stay within a few MiB
     rng = np.random.default_rng(7)
-    p = polynomial(
-        [
+    p = _poly(
+        *(
             xcomplex(float(rng.uniform(-1, 1)), float(rng.uniform(-math.pi, math.pi)))
             for _ in range(1201)
-        ]
+        )
     )
     tracemalloc.start()
     try:
@@ -381,13 +418,13 @@ def test_solver_memory_is_linear_in_the_block_size():
 
 
 def _random_poly(rng, n, spread=3.0):
-    return polynomial(
-        [
+    return _poly(
+        *(
             xcomplex(
                 float(rng.uniform(-spread, spread)), float(rng.uniform(-math.pi, math.pi))
             )
             for _ in range(n + 1)
-        ]
+        )
     )
 
 
@@ -396,9 +433,9 @@ def _batch_inputs():
     rng = np.random.default_rng(1105)
     dlog = CoefficientDistribution("double_log_slow_tail", beta=1.0, cap=690.0)
     polys = [
-        polynomial(sample_coefficients(dlog, n, seed).coeffs)
+        polynomial(c.lm, c.ph)
         for n in (20, 50)
-        for seed in range(6)
+        for c in (sample_coefficients(dlog, n, seed) for seed in range(6))
     ]
     # one block of 80 roots between blocks of 1 and 2 roots: a flat run of
     # powers 1..81 high above both ends of the Newton polygon
@@ -407,21 +444,19 @@ def _batch_inputs():
         for _ in range(81)
     ]
     tail = [xcomplex(-300.0, 2.0), xcomplex(-700.0, 0.5)]
-    polys.append(polynomial([XONE, *flat, *tail]))
+    polys.append(_poly(XONE, *flat, *tail))
     polys += [_random_poly(rng, 1, 40.0) for _ in range(3)]  # degree 1
     polys += [_random_poly(rng, 2, 40.0) for _ in range(3)]  # degree 2
     # zero interior coefficients
-    polys.append(polynomial([XONE, XZERO, XZERO, xcomplex(5.0, 1.0), XZERO, XONE]))
-    polys.append(polynomial([xcomplex(-3.0, 0.2)] + [XZERO] * 9 + [XONE]))
+    polys.append(_poly(XONE, XZERO, XZERO, xcomplex(5.0, 1.0), XZERO, XONE))
+    polys.append(_poly(xcomplex(-3.0, 0.2), *[XZERO] * 9, XONE))
     return polys
 
 
 def _assert_same_roots(got: RootSet, want: RootSet):
     """Same converged flag, and each root within 1e-12 relative."""
     assert got.converged == want.converged
-    lm_g, ph_g = as_arrays(got.roots)
-    lm_w, ph_w = as_arrays(want.roots)
-    dist = relative_distance_matrix(lm_w, ph_w, lm_g, ph_g)
+    dist = relative_distance_matrix(want.lm, want.ph, got.lm, got.ph)
     assert bottleneck_assignment(dist)[1] <= 1e-12
 
 
@@ -429,7 +464,7 @@ def test_batched_solve_matches_single_solves():
     polys = _batch_inputs()
     sizes = []
     for p in polys:
-        segs = _polygon_segments(*_exact_logmags(as_arrays(p.coeffs)[0]))
+        segs = _polygon_segments(*_exact_logmags(p.lm))
         sizes.append([sum(j2 - j1 for _, j1, j2 in b) for b in _split_blocks(segs)])
     assert [1, 80, 2] in sizes  # a block that iterates alone
     assert any(len(s) > 1 and max(s) <= _BATCH_ROOTS for s in sizes)
@@ -437,7 +472,7 @@ def test_batched_solve_matches_single_solves():
     batch = aberth_solve_many(polys)
     assert len(batch) == len(polys)
     for p, got in zip(polys, batch):
-        assert len(got.roots) == p.degree
+        assert got.lm.size == p.degree
         _assert_same_roots(got, aberth_solve(p))
 
 
@@ -446,9 +481,10 @@ def test_unsettled_block_fails_only_its_own_polynomial():
     # evaluation; the 50-root block cannot settle in two iterations
     rng = np.random.default_rng(8)
     dlog = CoefficientDistribution("double_log_slow_tail", beta=1.0, cap=690.0)
-    hard = polynomial(sample_coefficients(dlog, 50, 3).coeffs)
+    c = sample_coefficients(dlog, 50, 3)
+    hard = polynomial(c.lm, c.ph)
     easy = [_random_poly(rng, 1, 40.0) for _ in range(3)]
-    easy.append(polynomial([XONE, xcomplex(100.0, 1.0), XONE]))  # two 1-root blocks
+    easy.append(_poly(XONE, xcomplex(100.0, 1.0), XONE))  # two 1-root blocks
     polys = [easy[0], hard, *easy[1:]]
     batch = aberth_solve_many(polys, max_iter=2)
     assert [rs.converged for rs in batch] == [True, False, True, True, True]
@@ -468,20 +504,17 @@ def test_scaling_all_coefficients_leaves_roots_in_place():
             xcomplex(float(rng.uniform(-3, 3)), float(rng.uniform(-math.pi, math.pi)))
             for _ in range(n + 1)
         ]
-        base = aberth_solve(polynomial(coeffs))
+        base = aberth_solve(_poly(*coeffs))
         scaled = aberth_solve(
-            polynomial(
-                [
+            _poly(
+                *(
                     xcomplex(c.logmag + scale.logmag, wrap_phase(c.phase + scale.phase))
                     for c in coeffs
-                ]
+                )
             )
         )
         assert base.converged and scaled.converged
-        worst = 0.0
-        lm_b, ph_b = as_arrays(base.roots)
-        lm_s, ph_s = as_arrays(scaled.roots)
-        dist = relative_distance_matrix(lm_b, ph_b, lm_s, ph_s)
+        dist = relative_distance_matrix(base.lm, base.ph, scaled.lm, scaled.ph)
         _, worst = bottleneck_assignment(dist)
         assert worst <= 1e-12
 
@@ -494,16 +527,12 @@ def test_reversal_duality():
             xcomplex(float(rng.uniform(-10, 10)), float(rng.uniform(-math.pi, math.pi)))
             for _ in range(n + 1)
         ]
-        p = polynomial(coeffs)
+        p = _poly(*coeffs)
         forward = aberth_solve(p)
         backward = aberth_solve(reverse(p))
-        recip = [
-            xcomplex(-r.logmag, wrap_phase(-r.phase)) for r in forward.roots
-        ]
-        lm_r, ph_r = as_arrays(recip)
-        lm_b, ph_b = as_arrays(backward.roots)
+        recip_lm, recip_ph = -forward.lm, -forward.ph
         _, worst = bottleneck_assignment(
-            relative_distance_matrix(lm_r, ph_r, lm_b, ph_b)
+            relative_distance_matrix(recip_lm, recip_ph, backward.lm, backward.ph)
         )
         assert worst <= 1e-8
 
@@ -514,21 +543,20 @@ def test_reversal_duality():
 def test_predicted_roots_two_scale_quadratic():
     c = _vec(XONE, xcomplex(50.0, 0.0), XONE)
     pr = predicted_roots(c)
-    assert len(pr.inner) == 1 and len(pr.outer) == 1
-    inner, outer = pr.inner[0], pr.outer[0]
-    assert inner.logmag == -50.0 and phase_distance(inner.phase, math.pi) <= 1e-12
-    assert outer.logmag == 50.0 and phase_distance(outer.phase, math.pi) <= 1e-12
+    assert pr.tau == 1 and pr.ph.size == 2
+    assert pr.lm.tolist() == [-50.0, 50.0]
+    assert all(phase_distance(ph, math.pi) <= 1e-12 for ph in pr.ph.tolist())
 
 
 def test_predicted_roots_unit_square_roots():
     c = _vec(XONE, XZERO, XONE, XZERO, XONE, tau=2)
     pr = predicted_roots(c)
-    phases = sorted(r.phase for r in pr.inner)
+    phases = sorted(pr.ph[: pr.tau].tolist())
     assert phases == pytest.approx([-math.pi / 2.0, math.pi / 2.0], abs=1e-12)
-    assert sorted(r.phase for r in pr.outer) == pytest.approx(
+    assert sorted(pr.ph[pr.tau :].tolist()) == pytest.approx(
         [-math.pi / 2.0, math.pi / 2.0], abs=1e-12
     )
-    assert all(r.logmag == 0.0 for r in pr.all_roots())
+    assert pr.lm.tolist() == [0.0] * 4
 
 
 def test_predicted_roots_radius_formula():
@@ -537,10 +565,9 @@ def test_predicted_roots_radius_formula():
     pr = predicted_roots(c)
     assert pr.inner_radius == -20.0
     assert pr.outer_radius == 20.0
-    assert len(pr.inner) == 5 and len(pr.outer) == 5
-    assert all(r.logmag == -20.0 for r in pr.inner)
-    assert all(r.logmag == 20.0 for r in pr.outer)
-    assert len(pr.all_roots()) == 10
+    assert pr.tau == 5
+    assert pr.lm.tolist() == [-20.0] * 5 + [20.0] * 5
+    assert pr.ph.size == 10 and not pr.ph.flags.writeable
 
 
 def test_predicted_roots_rejects_degenerate_max_index():
@@ -553,6 +580,40 @@ def test_predicted_roots_rejects_degenerate_max_index():
 def test_predicted_roots_match_solver_on_dominant_middle():
     c = _vec(XONE, xcomplex(80.0, 2.5), XONE)
     pr = predicted_roots(c)
-    rs = aberth_solve(polynomial(c.coeffs))
-    worst = best_root_matching(list(rs.roots), list(pr.all_roots()))
+    rs = aberth_solve(polynomial(c.lm, c.ph))
+    worst = best_root_matching(_roots(rs), from_arrays(pr.lm, pr.ph))
     assert worst <= 1e-10
+
+
+def test_predicted_roots_match_scalar_oracle_bitwise():
+    # sampled vectors of every variant, with zero interior coefficients and
+    # ties at the maximum made on purpose; radii and phases are bitwise equal
+    rng = np.random.default_rng(606)
+    vecs = []
+    for v, variant in enumerate(VARIANTS):
+        for n in (2, 7, 50, 300):
+            vecs += [
+                sample_coefficients(CoefficientDistribution(variant), n, 10 * v + s)
+                for s in range(5)
+            ]
+    capped = CoefficientDistribution("double_log_slow_tail", beta=0.5, cap=8.0)
+    vecs += [sample_coefficients(capped, 30, s) for s in range(5)]
+    for c in vecs[::3]:
+        lm, ph = c.lm.copy(), c.ph.copy()
+        holes = rng.random(lm.size) < 0.3
+        holes[[0, c.degree, c.tau]] = False
+        lm[holes], ph[holes] = -math.inf, 0.0
+        lm[[1, c.degree - 1]] = lm.max() + 1.0  # tied maxima
+        vecs.append(CoefficientVector(lm, ph, int(np.argmax(lm)), 0, 0))
+    checked = 0
+    for c in vecs:
+        if c.tau in (0, c.degree):
+            continue
+        checked += 1
+        inner, outer = scalar_predicted_roots(from_arrays(c.lm, c.ph), c.tau)
+        want_lm, want_ph = as_arrays(inner + outer)
+        pr = predicted_roots(c)
+        assert pr.lm.tobytes() == want_lm.tobytes()
+        assert pr.ph.tobytes() == want_ph.tobytes()
+        assert type(pr.inner_radius) is float and type(pr.outer_radius) is float
+    assert checked >= 80

@@ -23,14 +23,26 @@ from heavyroots.xvec import (
     relative_distance_matrix,
     wrap_phase_vec,
 )
-from heavyroots.matcher import relative_distance
+from oracles import relative_distance
 
 
 def test_wrap_phase_vec_matches_scalar():
-    phis = np.array([0.0, -0.0, math.pi, -math.pi, 2 * math.pi, 7.5, -9.25])
+    # bitwise, on random phases at several scales and on exact multiples of
+    # pi, where the wrap boundary and -0.0 live
+    rng = np.random.default_rng(12)
+    phis = np.concatenate(
+        [
+            [0.0, -0.0, math.pi, -math.pi, 2 * math.pi, 7.5, -9.25],
+            math.pi * np.arange(-40.0, 41.0),
+            rng.uniform(-4.0, 4.0, 100_000),
+            rng.uniform(-1e6, 1e6, 100_000),
+            np.nextafter(math.pi * np.arange(-8.0, 9.0), np.inf),
+            np.nextafter(math.pi * np.arange(-8.0, 9.0), -np.inf),
+        ]
+    )
     out = wrap_phase_vec(phis)
-    for raw, got in zip(phis.tolist(), out.tolist()):
-        assert got == wrap_phase(raw)
+    want = np.array([wrap_phase(raw) for raw in phis.tolist()])
+    assert out.tobytes() == want.tobytes()
     assert not np.signbit(out[out == 0.0]).any()  # -0.0 never escapes
 
 
