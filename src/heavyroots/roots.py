@@ -19,22 +19,29 @@ mantissa times an integer power of two, and p(u), u p'(u) and sum_j |c_j||u|^j
 are summed over chunks of powers whose scales are integer exponents too.  A
 block's view of the polynomial is therefore accurate to rounding no matter how
 enormous the remaining coefficients are, in memory linear in the degree and
-the block size; terms more than e^800 below the block's own are left out.  A
-root whose last relative correction is at most tol is frozen: it still repels
-the others but is neither evaluated nor moved again (the rule MPSolve uses).
+the block size.  Two kinds of term are left out of a block's tables: terms
+more than e^800 below the block's own, and, once per polynomial, terms more
+than 64 nats below the Newton polygon (decided exactly).  By concavity of the
+hull the latter are below e^-64 times the largest term at every |z|, so
+together they stay under one rounding of the sums; with heavy tails they are
+almost every term, and a table holds only the kept powers.  A root whose last
+relative correction is at most tol is frozen: it still repels the others but
+is neither evaluated nor moved again (the rule MPSolve uses).
 
 The simultaneous update of a root depends only on its own block, so the small
 blocks of many polynomials iterate together as one stacked array, each with
 its own stop rule; aberth_solve is the one-polynomial case of
 aberth_solve_many.
 
-Residuals are relative backward errors |p(z)| / sum_j |c_j||z|^j; a RootSet
-only reports converged = True when every residual is at or below 1e-10.
+Residuals are relative backward errors |p(z)| / sum_j |c_j||z|^j of the whole
+polynomial; a RootSet only reports converged = True when every residual is at
+or below 1e-10.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -51,7 +58,8 @@ _RESIDUAL_OK = 1e-10  # converged RootSets guarantee residuals at or below this
 _RESIDUAL_STOP = 1e-11  # per-root early stop on relative backward error
 _STEP_MAX = math.exp(50.0)  # a correction never exceeds e^50 times the iterate
 _DEAD = 800.0  # nats below the anchor term: beyond float range, left out
-_EXP_FLOOR = -(1 << 52)  # frame exponent of a term that is left out
+_NEGLIGIBLE = 64  # nats below the Newton polygon: below rounding, left out
+_EXP_FLOOR = -(1 << 52)  # exponent of a power a stacked block lacks; sums fit int64
 _LN2 = math.log(2.0)
 _LN2_HI = 6.93147180369123816490e-01  # _LN2_HI + _LN2_LO == ln 2; k * _LN2_HI
 _LN2_LO = 1.90821492927058770002e-10  # is exact for |k| < 2**21
@@ -217,6 +225,30 @@ def _polygon_segments(ys: list[int | None], k: int) -> list[tuple[Fraction, int,
     ]
 
 
+def _negligible(ys: list[int | None], k: int, segs) -> list[bool]:
+    """True for each coefficient more than _NEGLIGIBLE nats below the hull.
+
+    ys and k are the exact log-magnitudes from _exact_logmags and segs the
+    hull segments from _polygon_segments, so the test is exact integer
+    arithmetic at every scale; hull vertices, points on a hull edge and zero
+    coefficients are never marked.  The hull is concave, so at every |z| a
+    marked term is below e^-64 times the largest term: the terms left out
+    change p(z), z p'(z) and sum_j |c_j||z|^j by at most (n+1)^2 e^-64 of
+    sum_j |c_j||z|^j, less than one rounding for n below 8e5.
+    """
+    out = [False] * len(ys)
+    cut = _NEGLIGIBLE << k
+    for _, a, b in segs:
+        ya, w = ys[a], b - a
+        rise = ys[b] - ya
+        floor = ya * w - cut * w  # the hull minus the cut, times w, at a
+        for j in range(a + 1, b):
+            y = ys[j]
+            if y is not None and y * w < floor + rise * (j - a):
+                out[j] = True
+    return out
+
+
 def newton_polygon_radii(p: Polynomial) -> list[tuple[float, int]]:
     """(modulus_logmag, count) per hull segment; counts sum to the degree."""
     segs = _polygon_segments(*_exact_logmags(p.lm))
@@ -278,27 +310,24 @@ def _frame_shift(
 def _frame_coefficients(shift, ph, anchor: int, alo: float, ahi: float):
     """The block's coefficients c_j = e^(shift_j + i ph_j), scaled by powers of 2.
 
-    Returns (j0, coef, ec).  Column i of coef is for the power j = j0 + i and
-    holds the real and imaginary parts of c_j / 2**ec[i] and of j c_j /
-    2**ec[i], then |c_j| / 2**ec[i], which lies in [1, 2).  A term more than
-    _DEAD nats below the anchor term at every frame radius from e^alo to e^ahi
-    cannot reach the sums, so it is zeroed, and the columns run from the
-    first to the last term that can.
+    Returns (js, coef, ec): the powers of the terms the block keeps, in
+    ascending order, and per kept term a column of coef holding the real and
+    imaginary parts of c_j / 2**ec[i] and of j c_j / 2**ec[i], then
+    |c_j| / 2**ec[i], which lies in [1, 2).  A term more than _DEAD nats
+    below the anchor term at every frame radius from e^alo to e^ahi cannot
+    reach the sums, and a term with shift -inf is zero or negligible; both
+    are left out.
     """
     jrel = np.arange(shift.size) - float(anchor)
-    live = shift + np.maximum(jrel * alo, jrel * ahi) >= -_DEAD
-    j0 = int(np.argmax(live))
-    j1 = shift.size - int(np.argmax(live[::-1]))
-    live = live[j0:j1]
-    shift = np.where(live, shift[j0:j1], 0.0)
-    # e^shift = 2**ec e^rem with e^rem in [1, 2); a zeroed term gets a floor
-    # exponent, which keeps every exponent sum inside int64
+    js = np.flatnonzero(shift + np.maximum(jrel * alo, jrel * ahi) >= -_DEAD)
+    shift = shift[js]
+    # e^shift = 2**ec e^rem with e^rem in [1, 2)
     ec = np.floor(shift / _LN2)
     rem = (shift - ec * _LN2_HI) - ec * _LN2_LO
-    mc = np.where(live, np.exp(rem), 0.0) * np.exp(1j * ph[j0:j1])
-    ec = np.where(live, ec, _EXP_FLOOR).astype(np.int64)
-    jc = np.arange(j0, j1) * mc
-    return j0, np.stack([mc.real, mc.imag, jc.real, jc.imag, np.abs(mc)]), ec
+    mc = np.exp(rem) * np.exp(1j * ph[js])
+    jc = js * mc
+    coef = np.stack([mc.real, mc.imag, jc.real, jc.imag, np.abs(mc)])
+    return js, coef, ec.astype(np.int64)
 
 
 def _pow2(d: np.ndarray) -> np.ndarray:
@@ -311,31 +340,36 @@ def _pow2(d: np.ndarray) -> np.ndarray:
     return d.view(np.float64)
 
 
-def _evaluate(u: np.ndarray, coef: np.ndarray, ec: np.ndarray, at=None):
+def _evaluate(
+    u: np.ndarray, coef: np.ndarray, ec: np.ndarray, pw: np.ndarray, at=None
+):
     """Scaled sums of the frame coefficients at the points u.
 
     coef (5, cols, blocks) and ec (cols, blocks) hold the frame coefficients
-    of one or more blocks side by side, each padded to the widest block with
-    terms of zero mantissa and exponent _EXP_FLOOR; at[i] is the block of
-    point i, or None when there is one block, whose coefficients then
-    broadcast over the points without a per-point gather.  With c_i the
-    point's coefficient in column i and j_i its power, returns s0 = sum c_i
-    u^i, s1 = sum j_i c_i u^i and s2 = sum |c_i| |u|^i: p(u), u p'(u) and
-    sum |c_j| |u|^j, each divided by u^j0 (or |u|^j0) and by one power of two
-    per point.  Both factors cancel: every use of the sums is a ratio.  A
-    padding term adds exactly 0.
+    of one or more blocks side by side, column i for the power pw[i] above
+    the block's lowest kept power j0 (pw ascending, pw[0] = 0); a block
+    without a term at that power has zero mantissa and exponent _EXP_FLOOR
+    there.  at[i] is the block of point i, or None when there is one block,
+    whose coefficients then broadcast over the points without a per-point
+    gather.  With c_i the point's coefficient in column i and j_i its power,
+    returns s0 = sum c_i u^pw[i], s1 = sum j_i c_i u^pw[i] and
+    s2 = sum |c_i| |u|^pw[i]: p(u), u p'(u) and sum |c_j| |u|^j, each divided
+    by u^j0 (or |u|^j0) and by one power of two per point.  Both factors
+    cancel: every use of the sums is a ratio.  A padding term adds exactly 0.
 
-    Powers are taken in chunks of rows: u = uh 2**e with |uh| in [0.5, 1),
-    so uh^i comes from plain multiplication without leaving the float range
-    and the exponents ec + i e are exact integers that set one scale per
-    chunk and point.  A chunk holds at most _EVAL_ELEMS entries, which bounds
-    the temporaries near 3 MiB even with coefficients gathered per point.
-    Every sum is elementwise in a fixed order (never BLAS), so the result
-    does not depend on the thread count.
+    Powers are taken from one table of rows powers: u = uh 2**e with |uh| in
+    [0.5, 1), so uh^i comes from plain multiplication without leaving the
+    float range, and a chunk of columns whose powers lie within rows of its
+    first power p0 gathers its rows of the table; uh^p0 and the exponents
+    ec + i e, exact integers, set one scale per chunk and point.  Without
+    gaps in pw the gather is a slice.  A chunk holds at most _EVAL_ELEMS
+    entries, which bounds the temporaries near 3 MiB even with coefficients
+    gathered per point.  Every sum is elementwise in a fixed order (never
+    BLAS), so the result does not depend on the thread count.
     """
     m = u.size
     cols = ec.shape[0]
-    rows = min(_CHUNK_ROWS, max(1, _EVAL_ELEMS // m), cols)
+    rows = min(_CHUNK_ROWS, max(1, _EVAL_ELEMS // m), int(pw[-1]) + 1)
     mag, e = np.frexp(np.abs(u))
     e = e.astype(np.int64)
     q = np.empty((rows, m), dtype=np.complex128)
@@ -347,29 +381,36 @@ def _evaluate(u: np.ndarray, coef: np.ndarray, ec: np.ndarray, at=None):
     ie = np.arange(rows, dtype=np.int64)[:, None] * e
     # with one block the coefficients broadcast over the points
     cpart, pick = ("ki", 0) if at is None else ("kij", at)
-    acc = top = None
-    for c0 in range(0, cols, rows):
-        r = min(rows, cols - c0)
-        g = ec[c0 : c0 + r, pick].reshape(r, -1) + ie[:r]
+    acc = top = lmag = None
+    c0 = 0
+    while c0 < cols:
+        p0 = int(pw[c0])
+        c1 = bisect_left(pw, p0 + rows, c0, min(cols, c0 + rows))
+        r = c1 - c0
+        ri = slice(0, r) if pw[c1 - 1] - p0 == r - 1 else pw[c0:c1] - p0
+        g = ec[c0:c1, pick].reshape(r, -1) + ie[ri]
         gmax = g.max(axis=0)
         f = _pow2(np.subtract(g, gmax, out=g))
         # real and imaginary parts of sum c u^i and sum j c u^i
-        cc = coef[:4, c0 : c0 + r, pick]
-        re = np.einsum(f"{cpart},ij->kj", cc, qr[:r] * f)
-        im = np.einsum(f"{cpart},ij->kj", cc, qi[:r] * f)
+        cc = coef[:4, c0:c1, pick]
+        re = np.einsum(f"{cpart},ij->kj", cc, qr[ri] * f)
+        im = np.einsum(f"{cpart},ij->kj", cc, qi[ri] * f)
         s = np.empty((3, m), dtype=np.complex128)
         s[0].real, s[0].imag = re[0] - im[1], im[0] + re[1]
         s[1].real, s[1].imag = re[2] - im[3], im[2] + re[3]
-        cc = coef[4][c0 : c0 + r, pick]
-        s[2] = np.einsum(f"{cpart[1:]},ij->j", cc, np.multiply(f, qa[:r], out=f))
-        if c0:
-            # uh^c0 = bm 2**eb e^(i c0 arg u), its exponent kept apart
-            t = c0 * np.log2(mag)
+        cc = coef[4][c0:c1, pick]
+        s[2] = np.einsum(f"{cpart[1:]},ij->j", cc, np.multiply(f, qa[ri], out=f))
+        if p0:
+            # uh^p0 = bm 2**eb e^(i p0 arg u), its exponent kept apart
+            if lmag is None:
+                lmag, ang = np.log2(mag), np.angle(u)
+            t = p0 * lmag
             eb = np.floor(t)
             bm = np.exp2(t - eb)
-            s[:2] *= bm * np.exp(1j * (c0 * np.angle(u)))
+            s[:2] *= bm * np.exp(1j * (p0 * ang))
             s[2] *= bm
-            gmax += c0 * e + eb.astype(np.int64)
+            gmax += p0 * e + eb.astype(np.int64)
+        c0 = c1
         if acc is None:
             acc, top = s, gmax
             continue
@@ -385,6 +426,7 @@ class _Block:
 
     coef: np.ndarray  # frame coefficients, see _frame_coefficients
     ec: np.ndarray
+    pw: np.ndarray  # power of each column above the lowest kept power
     u0: np.ndarray  # initial iterates
     sigma: Fraction
     charge: float  # roots of radially lower blocks, as a point charge at 0
@@ -394,7 +436,8 @@ class _Block:
 
 def _block_frame(ph, ys, k, segs, t0) -> _Block:
     """The frame of the block of hull segments segs; t0 counts the segments
-    of lower blocks, which sets the phase offsets of the initial iterates."""
+    of lower blocks, which sets the phase offsets of the initial iterates.
+    ys holds None for every term left out of the polynomial's tables."""
     radii = [s[0] for s in segs]
     # The frame center is an exact rational.  A float midrange at scale 1e20+
     # carries an absolute rounding error of whole nats, which displaces the
@@ -408,7 +451,7 @@ def _block_frame(ph, ys, k, segs, t0) -> _Block:
     # other blocks are exponentially suppressed here, so dropping them is the
     # correct limit, not an error.
     anchor = segs[0][1]
-    _, coef, ec = _frame_coefficients(
+    js, coef, ec = _frame_coefficients(
         _frame_shift(ys, k, sigma, anchor), ph, anchor, alo, ahi
     )
     # roots of radially lower blocks sit near 0 in this frame; a point charge
@@ -417,6 +460,7 @@ def _block_frame(ph, ys, k, segs, t0) -> _Block:
     return _Block(
         coef,
         ec,
+        js - js[0],
         _initial_iterates(segs, sigma, t0),
         sigma,
         float(anchor),
@@ -442,12 +486,18 @@ def _iterate(blocks: list[_Block], tol: float, max_iter: int):
     bid = np.repeat(np.arange(nb), sizes)
     pos = np.arange(bid.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     u = np.concatenate([b.u0 for b in blocks])
-    width = max(b.ec.size for b in blocks)
-    coef = np.zeros((5, width, nb))
-    ec = np.full((width, nb), _EXP_FLOOR, dtype=np.int64)
+    # a column for every power that some block keeps (no np.unique: its
+    # first call pages in sorting code, 1.7 MiB of resident memory)
+    kept = np.zeros(max(int(b.pw[-1]) for b in blocks) + 1, dtype=bool)
+    for b in blocks:
+        kept[b.pw] = True
+    pw = np.flatnonzero(kept)
+    col = np.cumsum(kept) - 1  # column of each kept power
+    coef = np.zeros((5, pw.size, nb))
+    ec = np.full((pw.size, nb), _EXP_FLOOR, dtype=np.int64)
     for i, b in enumerate(blocks):
-        coef[:, : b.ec.size, i] = b.coef
-        ec[: b.ec.size, i] = b.ec
+        coef[:, col[b.pw], i] = b.coef
+        ec[col[b.pw], i] = b.ec
     charge = np.array([b.charge for b in blocks])[bid]
     lo_a = np.array([b.lo_a for b in blocks])[bid]
     hi_a = np.array([b.hi_a for b in blocks])[bid]
@@ -469,7 +519,7 @@ def _iterate(blocks: list[_Block], tol: float, max_iter: int):
     live = np.ones(nb, dtype=bool)  # blocks still iterating
 
     def evaluate(at):
-        s0, s1, s2 = _evaluate(u[at], coef, ec, None if nb == 1 else bid[at])
+        s0, s1, s2 = _evaluate(u[at], coef, ec, pw, None if nb == 1 else bid[at])
         resid[at] = np.minimum(np.abs(s0) / s2, 1.0)
         fresh[at] = True
         return s0, s1
@@ -573,7 +623,8 @@ def aberth_solve_many(
     Initial guesses sit on the Newton-polygon circles; a block stops when
     every relative correction is at most tol (or the relative backward error
     of the root is already below 1e-11), or at max_iter.  Non-convergence is
-    reported through converged = False, never as an exception.
+    reported through converged = False, never as an exception.  A polynomial
+    of degree 0 has no roots: its RootSet is empty and converged.
 
     Blocks are independent, so the blocks of all polynomials with at most
     _BATCH_ROOTS roots share one stacked iteration, which pays numpy's
@@ -584,11 +635,14 @@ def aberth_solve_many(
     owner = []  # polynomial index of each block
     blocks = []
     for i, p in enumerate(polys):
-        if p.degree < 1:
-            raise ValueError("degree must be at least 1")
+        if p.degree == 0:
+            continue  # no roots
         ys, k = _exact_logmags(p.lm)
+        hull = _polygon_segments(ys, k)
+        # a negligible term is left out like a zero one, in every block
+        ys = [None if d else y for y, d in zip(ys, _negligible(ys, k, hull))]
         t0 = 0
-        for segs in _split_blocks(_polygon_segments(ys, k)):
+        for segs in _split_blocks(hull):
             blocks.append(_block_frame(p.ph, ys, k, segs, t0))
             owner.append(i)
             t0 += len(segs)
@@ -611,11 +665,11 @@ def aberth_solve_many(
         per_poly[i].append(solved[j])
     out = []
     for parts in per_poly:
-        rlm = np.concatenate([s[0] for s in parts])
-        rph = np.concatenate([s[1] for s in parts])
-        rres = np.concatenate([s[2] for s in parts])
+        rlm, rph, rres = (
+            np.concatenate([np.empty(0)] + [s[c] for s in parts]) for c in range(3)
+        )
         order = np.lexsort((rph, rlm))
-        converged = all(s[3] for s in parts) and bool(rres.max() <= _RESIDUAL_OK)
+        converged = all(s[3] for s in parts) and bool(np.all(rres <= _RESIDUAL_OK))
         out.append(RootSet(rlm[order], rph[order], rres[order], converged))
     return out
 

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .xnum import EXP_MAX, XReal, xcmp, xlogsumexp
-from .xvec import freeze, wrap_phase_vec
+from .xnum import EXP_MAX
+from .xvec import freeze, logsumexp_vec, wrap_phase_vec
 
 MASK64 = (1 << 64) - 1
 
@@ -158,13 +158,13 @@ def sample_coefficients(
     return CoefficientVector(lm, ph, argmax_index(lm), seed & MASK64, clamps)
 
 
-def tail_probability(dist: CoefficientDistribution, t: XReal) -> float:
-    """Exact analytic P{|xi| > t} for the variant."""
-    if t.sign < 0:
-        raise ValueError("threshold must be nonnegative")
-    if t.sign == 0:
+def tail_probability(dist: CoefficientDistribution, lt: float) -> float:
+    """Exact analytic P{|xi| > t} for the variant, given lt = log t
+    (-inf for t = 0)."""
+    if math.isnan(lt):
+        raise ValueError("log threshold must not be NaN")
+    if lt == -math.inf:
         return 1.0  # no variant has an atom at zero
-    lt = t.logmag  # log t
     if dist.variant == "slow_tail_magnitude":
         if lt <= 1.0:
             return 1.0
@@ -187,15 +187,13 @@ def tail_probability(dist: CoefficientDistribution, t: XReal) -> float:
     return 1.0 if lt < 0.0 else 0.0
 
 
-def max_over_sum_statistic(samples: list[XReal]) -> float:
-    """exp(logmag(max) - logmag(sum)) for nonnegative samples, in (0, 1]."""
-    if not samples:
+def max_over_sum_statistic(lm) -> float:
+    """max / sum of nonnegative samples, in (0, 1], from their log-moduli
+    (-inf for a zero sample)."""
+    lm = np.asarray(lm, dtype=np.float64)
+    if lm.size == 0:
         raise ValueError("empty sample list")
-    best = samples[0]
-    for s in samples[1:]:
-        if xcmp(s, best) > 0:
-            best = s
-    if best.sign == 0:
+    best = float(lm.max())
+    if best == -math.inf:
         raise ValueError("all samples are zero")
-    total = xlogsumexp(samples)
-    return math.exp(best.logmag - total.logmag)
+    return math.exp(best - float(logsumexp_vec(lm)))

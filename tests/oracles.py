@@ -14,9 +14,10 @@ distance, with a Kuhn search that lists free columns at each step, gives the
 exact permutations the production matcher must reproduce.
 
 The block-frame oracles are slower, independent formulations of the solver's
-frame arithmetic: the Newton-polygon hull and the frame shift in Fraction
-arithmetic, and a dense log-domain evaluation that builds (n+1) x m arrays of
-term logs and phases.
+frame arithmetic: the Newton-polygon hull, each term's depth below it and
+the frame shift in Fraction arithmetic, a dense log-domain evaluation that
+builds (n+1) x m arrays of term logs and phases, and residuals of roots over
+every coefficient with term logs formed exactly.
 
 The scalar-chain oracles compute, one XComplex or XReal at a time, what the
 library computes on (logmag, phase) arrays: the relative distance of two
@@ -338,6 +339,51 @@ def dense_frame_sums(shift, ph, u):
     w = np.exp(tl - np.max(tl, axis=0)[None, :])
     terms = w * (np.cos(tp) + 1j * np.sin(tp))
     return terms.sum(axis=0), (jpow[:, None] * terms).sum(axis=0), w.sum(axis=0)
+
+
+def fraction_hull_depths(lm) -> list[Fraction | None]:
+    """How far each term lies below the Newton polygon, in nats, exactly.
+
+    lm holds the coefficient log-magnitudes; zero coefficients (-inf) give
+    None.  Vertices and points on a hull edge give 0.
+    """
+    segs = fraction_polygon_segments(lm)
+    depths: list[Fraction | None] = [None] * len(lm)
+    for r, a, b in segs:
+        top = Fraction(float(lm[a]))
+        for j in range(a, b + 1):
+            if math.isfinite(lm[j]):
+                depths[j] = top - r * (j - a) - Fraction(float(lm[j]))
+    return depths
+
+
+def full_residuals(lm, ph, root_lm, root_ph) -> np.ndarray:
+    """|p(z)| / sum_j |c_j||z|^j at each root z, over every coefficient.
+
+    With z = e^(root_lm + i root_ph), the term logs lm_j + j root_lm are
+    formed exactly as integers over one power of two and rounded once
+    relative to the largest, so the terms are as accurate at scale 1e300 as
+    at 1; dense_frame_sums then sums them at e^(i root_ph).
+    """
+    fin = [j for j, v in enumerate(lm) if math.isfinite(v)]
+    vals = [Fraction(float(lm[j])) for j in fin]
+    roots = [Fraction(float(r)) for r in root_lm]
+    den = max(v.denominator for v in vals + roots)  # a power of two
+    ys = [int(v * den) for v in vals]
+    out = []
+    for r, t in zip(roots, np.asarray(root_ph).tolist()):
+        s = int(r * den)
+        logs = [y + j * s for j, y in zip(fin, ys)]
+        top = max(logs)
+        shift = np.full(len(lm), -math.inf)
+        for j, x in zip(fin, logs):
+            try:
+                shift[j] = (x - top) / den
+            except OverflowError:
+                pass  # below the float range: the term adds 0
+        p, _, a = dense_frame_sums(shift, ph, np.array([np.exp(1j * t)]))
+        out.append(abs(p[0]) / a[0])
+    return np.array(out)
 
 
 def relative_distance(z: XComplex, w: XComplex) -> float:

@@ -454,6 +454,23 @@ def test_cli_certify_takes_the_lower_tied_index_as_tau(tmp_path, capsys):
     assert payload["pellet"]["k"] == 2
 
 
+def test_cli_solve_reports_no_roots_at_degree_zero(tmp_path):
+    # zero, c, zero trims to the constant c after one zero root
+    path = tmp_path / "constant.json"
+    const = {"zero": False, "logmag": "2.5", "phase": "1"}
+    coeffs = [{"zero": True}, const, {"zero": True}]
+    path.write_text(json.dumps({"coefficients": coeffs}), encoding="utf-8")
+    out = tmp_path / "roots.json"
+    assert cli_main(["solve", "-i", str(path), "-o", str(out)]) == 0
+    assert json.loads(out.read_text()) == {
+        "degree": 0,
+        "zero_root_multiplicity": 1,
+        "converged": True,
+        "roots": [],
+        "residuals": [],
+    }
+
+
 def test_cli_failure_prints_error_record(tmp_path, capsys):
     rc = cli_main(["solve", "-i", str(tmp_path / "nope.json"), "-o", str(tmp_path / "x")])
     assert rc == 1

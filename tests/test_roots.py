@@ -17,6 +17,7 @@ from heavyroots.roots import (
     _frame_coefficients,
     _frame_shift,
     _initial_iterates,
+    _negligible,
     _polygon_segments,
     _split_blocks,
     aberth_solve,
@@ -49,7 +50,9 @@ from oracles import (
     cubic_roots,
     dense_frame_sums,
     fraction_frame_shift,
+    fraction_hull_depths,
     fraction_polygon_segments,
+    full_residuals,
     quadratic_roots,
     scalar_predicted_roots,
 )
@@ -226,6 +229,31 @@ def test_exact_frame_shift_matches_fraction_shift():
             assert np.array_equal(exact, fraction_frame_shift(lm, sigma, anchor))
 
 
+def _kept(lm):
+    """The exact log-magnitudes of lm with None for every term left out."""
+    ys, k = _exact_logmags(lm)
+    drop = _negligible(ys, k, _polygon_segments(ys, k))
+    return [None if d else y for y, d in zip(ys, drop)], k
+
+
+def test_negligible_terms_match_fraction_oracle():
+    dropped = on_hull = 0
+    inputs = _hull_inputs() + [lm for lm, _ in _evaluation_inputs()]
+    for lm in inputs:
+        ys, k = _exact_logmags(lm)
+        drop = _negligible(ys, k, _polygon_segments(ys, k))
+        depths = fraction_hull_depths(lm)
+        # exactly the terms more than 64 nats below the hull; never a vertex,
+        # a point on a hull edge or a zero coefficient
+        assert drop == [d is not None and d > 64 for d in depths]
+        assert not any(x for x, d in zip(drop, depths) if d is None or d == 0)
+        dropped += sum(drop)
+        on_hull += sum(d == 0 for d in depths if d is not None)
+        for _, a, b in _polygon_segments(ys, k):
+            assert not drop[a] and not drop[b]
+    assert dropped > 1000 and on_hull > 1000
+
+
 def test_frame_shift_overflow_saturates():
     ys, k = _exact_logmags(np.array([0.0, 0.0]))
     with pytest.raises(SaturationError):
@@ -248,19 +276,40 @@ def _evaluation_inputs():
     for big in (1e300, -1e300):  # frames near +-1e300
         out.append(big + np.spacing(big) * rng.integers(-8, 9, 7))
     out.append(rng.uniform(-3.0, 3.0, 151))
+    # pruned tables: sampled slow-tail vectors, where most terms are
+    # negligible; a double-log vector at the cap e^690 - 1 ~ 1.1e299, a run
+    # falling one ulp (1.6e283 nats) per power with terms one to three ulps
+    # below it, where a float hull test is off by whole ulps and only the
+    # exact one keeps the run; and a collinear run exactly on the hull, with
+    # terms exactly 64 nats (kept) and 64.25 nats (left out) below it
+    slow = CoefficientDistribution("slow_tail_magnitude")
+    out += [sample_coefficients(slow, n, 40 + n).lm for n in (200, 500)]
+    cap = math.expm1(690.0)
+    steps = -np.arange(41)
+    below = np.random.default_rng(34)
+    steps[1:-1] -= below.integers(0, 4, 39) * (below.random(39) < 0.5)
+    out.append(cap + np.spacing(cap) * steps)
+    run = 3.0 - 0.75 * np.arange(31.0)
+    run[4:28:3] -= 100.0
+    run[[2, 29]] -= [64.0, 64.25]
+    out.append(run)
     return [(lm, rng.uniform(-math.pi, math.pi, lm.size)) for lm in out]
 
 
 def _evaluation_cases():
-    """(u, coef, ec, j0, shift, ph, n) for every block of every input."""
+    """(u, coef, ec, pw, j0, shift, ph, n) for every block of every input:
+    the tables leave out the negligible terms, shift holds every term."""
     rng = np.random.default_rng(32)
     for lm, ph in _evaluation_inputs():
         n = lm.size - 1
+        kept, _ = _kept(lm)
         for ys, k, block, sigma, anchor in _frames(lm):
             alo = max(float(block[0][0] - sigma) - 100.0, -600.0)
             ahi = min(float(block[-1][0] - sigma) + 100.0, 600.0)
             shift = _frame_shift(ys, k, sigma, anchor)
-            j0, coef, ec = _frame_coefficients(shift, ph, anchor, alo, ahi)
+            js, coef, ec = _frame_coefficients(
+                _frame_shift(kept, k, sigma, anchor), ph, anchor, alo, ahi
+            )
             u = np.concatenate(
                 [
                     _initial_iterates(block, sigma, 0),
@@ -268,7 +317,7 @@ def _evaluation_cases():
                     np.exp([alo, ahi]),
                 ]
             )
-            yield u, coef, ec, j0, shift, ph, n
+            yield u, coef, ec, js - js[0], int(js[0]), shift, ph, n
 
 
 def _assert_matches_dense(sums, u, j0, shift, ph, n):
@@ -281,30 +330,35 @@ def _assert_matches_dense(sums, u, j0, shift, ph, n):
 
 
 def test_scaled_evaluation_matches_dense_evaluation():
-    for u, coef, ec, j0, shift, ph, n in _evaluation_cases():
-        sums = _evaluate(u, coef[..., None], ec[:, None])
+    gaps = 0
+    for u, coef, ec, pw, j0, shift, ph, n in _evaluation_cases():
+        sums = _evaluate(u, coef[..., None], ec[:, None], pw)
         _assert_matches_dense(sums, u, j0, shift, ph, n)
+        gaps += pw[-1] + 1 > pw.size
+    assert gaps >= 4  # tables with terms left out between kept ones
 
 
 def test_stacked_evaluation_matches_dense_evaluation():
-    # blocks of different widths side by side, padded to the widest with
-    # zero terms; each point is evaluated against its own block only, and
-    # the points of a block are interleaved with those of the others
+    # blocks with different powers side by side, one column for each power
+    # any block keeps and zero terms in the others; each point is evaluated
+    # against its own block only, and the points of a block are interleaved
+    # with those of the others
     cases = list(_evaluation_cases())
-    width = max(c[2].size for c in cases)
-    coef = np.zeros((5, width, len(cases)))
-    ec = np.full((width, len(cases)), _EXP_FLOOR, dtype=np.int64)
-    for b, (_, cb, eb, *_) in enumerate(cases):
-        coef[:, : eb.size, b] = cb
-        ec[: eb.size, b] = eb
+    pw = np.unique(np.concatenate([c[3] for c in cases]))
+    coef = np.zeros((5, pw.size, len(cases)))
+    ec = np.full((pw.size, len(cases)), _EXP_FLOOR, dtype=np.int64)
+    for b, (_, cb, eb, pb, *_) in enumerate(cases):
+        cols = np.searchsorted(pw, pb)
+        coef[:, cols, b] = cb
+        ec[cols, b] = eb
     at = np.concatenate([np.full(c[0].size, b) for b, c in enumerate(cases)])
     mix = np.random.default_rng(33).permutation(at.size)
     u = np.concatenate([c[0] for c in cases])[mix]
-    s0, s1, s2 = _evaluate(u, coef, ec, at[mix])
+    s0, s1, s2 = _evaluate(u, coef, ec, pw, at[mix])
     back = np.argsort(mix)
     s0, s1, s2 = s0[back], s1[back], s2[back]
     start = 0
-    for ub, _, _, j0, shift, ph, n in cases:
+    for ub, _, _, _, j0, shift, ph, n in cases:
         part = slice(start, start + ub.size)
         _assert_matches_dense((s0[part], s1[part], s2[part]), ub, j0, shift, ph, n)
         start += ub.size
@@ -354,6 +408,15 @@ def test_solve_degree_one():
     assert phase_distance(float(rs.ph[0]), 0.0) <= 1e-10
 
 
+def test_degree_zero_has_no_roots():
+    const = _poly(xcomplex(2.5, 1.0))
+    batch = aberth_solve_many([const, _poly(XMINUS_ONE, XONE), const])
+    for rs in (aberth_solve(const), batch[0], batch[2]):
+        assert rs.converged
+        assert rs.lm.size == rs.ph.size == rs.residuals.size == 0
+    assert batch[1].converged and batch[1].lm.size == 1
+
+
 def test_solve_extreme_magnitude_quadratic():
     p = _poly(XONE, xcomplex(1e200, 0.0), XONE)
     rs = aberth_solve(p)
@@ -376,6 +439,24 @@ def test_solver_backward_error_and_root_count_on_random_instances():
         assert rs.residuals.size == n
         if rs.converged:
             assert max(rs.residuals) <= 1e-10
+
+
+def test_pruned_solves_have_small_residuals_on_the_full_polynomial():
+    # the solver evaluates only the terms within 64 nats of the Newton
+    # polygon; the oracle recomputes every residual over all the terms.  The
+    # double-log cap keeps root log-moduli near 1e3: at scale 1e20 and beyond
+    # one rounding of a reported log-modulus moves the root by more than
+    # 1e-10 relative, whatever the solver does
+    slow = CoefficientDistribution("slow_tail_magnitude")
+    dlog = CoefficientDistribution("double_log_slow_tail", beta=0.5, cap=8.0)
+    vecs = [sample_coefficients(slow, n, s) for n in (200, 500) for s in (1, 2)]
+    vecs += [sample_coefficients(dlog, n, s) for n in (20, 50) for s in (1, 2)]
+    polys = [polynomial(c.lm, c.ph) for c in vecs]
+    for p, rs in zip(polys, aberth_solve_many(polys)):
+        kept, _ = _kept(p.lm)
+        assert kept.count(None) > p.degree // 2  # most terms left out
+        assert rs.converged
+        assert full_residuals(p.lm, p.ph, rs.lm, rs.ph).max() <= 1e-10
 
 
 def test_solver_oracle_equivalence_spot_check():
