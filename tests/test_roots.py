@@ -233,7 +233,7 @@ def _kept(lm):
     """The exact log-magnitudes of lm with None for every term left out."""
     ys, k = _exact_logmags(lm)
     drop = _negligible(ys, k, _polygon_segments(ys, k))
-    return [None if d else y for y, d in zip(ys, drop)], k
+    return [None if d else y for y, d in zip(ys, drop)]
 
 
 def test_negligible_terms_match_fraction_oracle():
@@ -302,7 +302,7 @@ def _evaluation_cases():
     rng = np.random.default_rng(32)
     for lm, ph in _evaluation_inputs():
         n = lm.size - 1
-        kept, _ = _kept(lm)
+        kept = _kept(lm)
         for ys, k, block, sigma, anchor in _frames(lm):
             alo = max(float(block[0][0] - sigma) - 100.0, -600.0)
             ahi = min(float(block[-1][0] - sigma) + 100.0, 600.0)
@@ -453,8 +453,7 @@ def test_pruned_solves_have_small_residuals_on_the_full_polynomial():
     vecs += [sample_coefficients(dlog, n, s) for n in (20, 50) for s in (1, 2)]
     polys = [polynomial(c.lm, c.ph) for c in vecs]
     for p, rs in zip(polys, aberth_solve_many(polys)):
-        kept, _ = _kept(p.lm)
-        assert kept.count(None) > p.degree // 2  # most terms left out
+        assert _kept(p.lm).count(None) > p.degree // 2  # most terms left out
         assert rs.converged
         assert full_residuals(p.lm, p.ph, rs.lm, rs.ph).max() <= 1e-10
 
