@@ -11,13 +11,17 @@ Four experiment kinds share one trial pipeline (sample, solve, count, match):
 - ``sector_uniformity``: root phase frequencies over 8 equal sectors.
 
 Trials run in chunks of consecutive trial indices of one degree, at most
-max(1, _CHUNK_ROOTS // n) per chunk, one chunk per worker-thread task.  A
-chunk samples its polynomials, computes their certificate events, solves them
-all in one ``aberth_solve_many`` call -- whose small blocks share a single
-stacked iteration, so numpy's per-call cost is paid once per step rather
-than once per block -- and then builds each trial's record.  Coefficients
-and roots stay (logmag, phase) arrays through all of it; the record is the
-one place roots become XComplex values, for serialization.
+max(1, _CHUNK_ROOTS // n) per chunk, one chunk per worker-thread task.  The
+chunk, not the trial, is the unit of work: a chunk samples its polynomials
+and computes their certificate events, then solves them all in one
+``aberth_solve_many`` call, which frames every block of every polynomial in
+one pass and runs the small blocks as one stacked iteration, and matches all
+its trials in one ``match_roots_many`` call, which builds their distance
+matrices as one array and settles most of them by a nearest-neighbour
+certificate.  numpy's per-call cost is thus paid once per chunk or per step
+rather than once per trial or block.  Coefficients and roots stay (logmag,
+phase) arrays through all of it; the record is the one place roots become
+XComplex values, for serialization.
 
 Every trial is a pure function of (config, degree, trial index): per-trial
 seeds come from a counter-based derivation, and which trials share a chunk
@@ -46,8 +50,9 @@ from .localization import (
     count_annulus,
     evaluate_certificate_events,
 )
-from .matcher import match_roots
+from .matcher import MatchResult, match_roots_many
 from .roots import (  # noqa: F401 -- bench/selftest.py patches aberth_solve here
+    PredictedRoots,
     RootSet,
     aberth_solve,
     aberth_solve_many,
@@ -69,8 +74,12 @@ KINDS = ("annulus", "matching", "stable_compare", "sector_uniformity")
 
 _SECTORS = 8
 # A chunk of trials of degree n holds max(1, _CHUNK_ROOTS // n) of them, so a
-# chunk's stacked iteration carries about this many roots
-_CHUNK_ROOTS = 128
+# chunk's stacked iteration carries about this many roots.  A larger chunk
+# pays numpy's per-call cost over more roots but raises each worker thread's
+# peak memory: against 128, 256 roots run small-degree trials about 1.3x as
+# fast for 0.5 MiB more peak memory on 2 workers, 512 about 1.6x as fast for
+# 1.5 MiB more.
+_CHUNK_ROOTS = 256
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,28 +167,14 @@ def _record(
     c: CoefficientVector,
     events: CertificateEvents,
     rs: RootSet,
+    predicted: PredictedRoots | None,
+    match: MatchResult | None,
 ) -> TrialRecord:
     n = c.degree
     annulus = None
     if config.delta is not None:
         half = config.delta / n
         annulus = count_annulus(rs, -half, half)
-    sectors = sector_histogram(rs)
-
-    predicted = None
-    inner_lm = outer_lm = None
-    if not events.degenerate:
-        predicted = predicted_roots(c)
-        inner_lm = predicted.inner_radius
-        outer_lm = predicted.outer_radius
-
-    match_holds = None
-    worst = None
-    if config.kind == "matching":
-        mr = match_roots(rs, predicted, config.epsilon, n)
-        match_holds = mr.holds
-        worst = mr.worst_relative_error
-
     return TrialRecord(
         n=n,
         trial=t,
@@ -189,21 +184,22 @@ def _record(
         converged=rs.converged,
         degenerate=events.degenerate,
         annulus_count=annulus,
-        sector_counts=sectors,
+        sector_counts=sector_histogram(rs),
         max_dominates=events.max_dominates,
         product_dominates=events.product_dominates,
         threshold_met=events.threshold_met,
         matching_bound_holds=events.matching_bound_holds,
-        match_holds=match_holds,
-        worst_rel_error=worst,
+        match_holds=None if match is None else match.holds,
+        worst_rel_error=None if match is None else match.worst_relative_error,
         roots=tuple(from_arrays(rs.lm, rs.ph)),
-        predicted_inner_logmag=inner_lm,
-        predicted_outer_logmag=outer_lm,
+        predicted_inner_logmag=None if predicted is None else predicted.inner_radius,
+        predicted_outer_logmag=None if predicted is None else predicted.outer_radius,
     )
 
 
 def _run_chunk(config: ExperimentConfig, n: int, trials: range) -> list[TrialRecord]:
-    """Records of consecutive trials of degree n, solved in one batch."""
+    """Records of consecutive trials of degree n, solved and matched in one
+    batch each."""
     vecs = [
         sample_coefficients(
             config.distribution, n, derive_seed(config.master_seed, n, t)
@@ -214,9 +210,15 @@ def _run_chunk(config: ExperimentConfig, n: int, trials: range) -> list[TrialRec
         evaluate_certificate_events(c, config.epsilon, config.delta) for c in vecs
     ]
     solved = aberth_solve_many([polynomial(c.lm, c.ph) for c in vecs])
+    predicted = [
+        None if ev.degenerate else predicted_roots(c) for c, ev in zip(vecs, events)
+    ]
+    matches = [None] * len(vecs)
+    if config.kind == "matching":
+        matches = match_roots_many(solved, predicted, config.epsilon, n)
     return [
-        _record(config, t, c, ev, rs)
-        for t, c, ev, rs in zip(trials, vecs, events, solved)
+        _record(config, *row)
+        for row in zip(trials, vecs, events, solved, predicted, matches)
     ]
 
 

@@ -7,12 +7,17 @@ computed to predicted roots keeps the worst relative error strictly below
 eps/n.
 
 The assignment that minimizes the worst pairwise error is a bottleneck
-assignment.  A greedy pass (repeatedly taking the globally smallest distance
+assignment.  No assignment beats the trivial lower bound max(max of row
+minima, max of column minima).  When every predicted root has a different
+nearest computed root, pairing each with its nearest meets that bound, so it
+is optimal and its worst error is the bound itself; in the well-separated
+instances this module is built for that certificate almost always applies.
+Otherwise a greedy pass (repeatedly taking the globally smallest distance
 between an unused row and column) is optimal whenever its worst pick does not
-exceed the trivial lower bound max(max of row minima, max of column minima);
-in the well-separated instances this module is built for that shortcut almost
-always applies.  Otherwise we binary-search the distance values between that
-bound and the greedy worst, testing feasibility with augmenting paths.
+exceed the bound, and failing that we binary-search the distance values
+between the bound and the greedy worst, testing feasibility with augmenting
+paths.  Every route returns the optimal worst error, exactly; only the
+permutation depends on the route.
 """
 
 from __future__ import annotations
@@ -143,19 +148,51 @@ def match_roots(
     A missing prediction (two-sided radii unavailable) is reported as a
     degenerate non-match rather than an error.
     """
+    return match_roots_many([computed], [predicted], eps, n)[0]
+
+
+def match_roots_many(
+    computed: list[RootSet],
+    predicted: list[PredictedRoots | None],
+    eps: float,
+    n: int,
+) -> list[MatchResult]:
+    """match_roots for many trials of one degree n, pair by pair.
+
+    The distance matrices of all trials with a prediction are built as one
+    (trials, n, n) array, and the nearest-neighbour certificate is checked
+    for all of them at once; only the trials it leaves open take the greedy
+    pass and, if needed, the bracketed search, one at a time.
+    """
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must be in (0, 1)")
-    if predicted is None:
-        return MatchResult(False, None, math.inf, True)
-    if computed.lm.size != n or predicted.ph.size != n:
+    out = [MatchResult(False, None, math.inf, True)] * len(computed)
+    live = [i for i, p in enumerate(predicted) if p is not None]
+    if not live:
+        return out
+    if any(computed[i].lm.size != n or predicted[i].ph.size != n for i in live):
         raise ValueError("root counts must both equal n")
+    w = [predicted[i] for i in live]
+    z = [computed[i] for i in live]
     dist = relative_distance_matrix(
-        predicted.lm, predicted.ph, computed.lm, computed.ph
+        np.stack([p.lm for p in w]),
+        np.stack([p.ph for p in w]),
+        np.stack([r.lm for r in z]),
+        np.stack([r.ph for r in z]),
     )
-
-    perm, worst = greedy_assignment(dist)
-    bound = max(float(dist.min(axis=1).max()), float(dist.min(axis=0).max()))
-    if worst > bound:
-        perm, worst = bottleneck_assignment(dist, bound, worst)
-    holds = bool(worst < eps / n)
-    return MatchResult(holds, tuple(int(j) for j in perm), worst, False)
+    nearest = dist.argmin(axis=2)
+    bound = np.maximum(dist.min(axis=2).max(axis=1), dist.min(axis=1).max(axis=1))
+    hit = np.zeros(nearest.shape, dtype=bool)
+    hit[np.arange(len(live))[:, None], nearest] = True
+    certified = hit.all(axis=1)  # every predicted root has its own nearest
+    for t, i in enumerate(live):
+        worst = float(bound[t])
+        if certified[t]:
+            perm = nearest[t]
+        else:
+            perm, greedy = greedy_assignment(dist[t])
+            if greedy > worst:
+                perm, greedy = bottleneck_assignment(dist[t], worst, greedy)
+            worst = greedy
+        out[i] = MatchResult(bool(worst < eps / n), tuple(perm.tolist()), worst, False)
+    return out

@@ -30,8 +30,8 @@ is neither evaluated nor moved again (the rule MPSolve uses).
 
 The simultaneous update of a root depends only on its own block, so the small
 blocks of many polynomials iterate together as one stacked array, each with
-its own stop rule; aberth_solve is the one-polynomial case of
-aberth_solve_many.
+its own stop rule, and the frames of all the blocks are built in one pass;
+aberth_solve is the one-polynomial case of aberth_solve_many.
 
 Residuals are relative backward errors |p(z)| / sum_j |c_j||z|^j of the whole
 polynomial; a RootSet only reports converged = True when every residual is at
@@ -65,6 +65,7 @@ _LN2_HI = 6.93147180369123816490e-01  # _LN2_HI + _LN2_LO == ln 2; k * _LN2_HI
 _LN2_LO = 1.90821492927058770002e-10  # is exact for |k| < 2**21
 _CHUNK_ROWS = 64  # powers per evaluation chunk; |uh^i| >= 2**-i stays normal
 _EVAL_ELEMS = 1 << 15  # entries (powers x points) in one evaluation chunk
+_GATHER_ELEMS = 1 << 13  # the same, and row chunk, when points gather by block
 _PAIR_ELEMS = 1 << 17  # entries in one chunk of pairwise root differences
 _BATCH_ROOTS = 64  # blocks up to this size share one stacked iteration
 
@@ -269,65 +270,66 @@ def _split_blocks(
     return blocks
 
 
-def _initial_iterates(segs, sigma: Fraction, t0: int) -> np.ndarray:
-    """Equispaced points on each circle with a golden-ratio phase offset."""
-    parts = []
-    for t, (r, j1, j2) in enumerate(segs):
-        m = j2 - j1
-        off = TAU * (((t0 + t + 1) * _GOLDEN) % 1.0)
-        phases = off + TAU * np.arange(m) / m
-        parts.append(math.exp(float(r - sigma)) * np.exp(1j * phases))
-    return np.concatenate(parts)
+def _initial_iterates(circles) -> np.ndarray:
+    """Equispaced points on every circle, each with a golden-ratio phase
+    offset, built in one pass; circles holds (radius, offset, roots) per
+    circle, the radius a float in the frame of the circle's block."""
+    scale, off, m = (np.array(c) for c in zip(*circles))
+    k = np.arange(m.sum()) - np.repeat(np.cumsum(m) - m, m)
+    phases = np.repeat(off, m) + TAU * k / np.repeat(m, m)
+    return np.repeat(scale, m) * np.exp(1j * phases)
 
 
-def _frame_shift(
-    ys: list[int | None], k: int, sigma: Fraction, anchor: int
-) -> np.ndarray:
-    """ln|c_j e^(j sigma)| - ln|c_anchor e^(anchor sigma)| for every j.
+def _frame_shift(js, ys, k: int, sigma: Fraction, anchor: int) -> list[float]:
+    """ln|c_j e^(j sigma)| - ln|c_anchor e^(anchor sigma)| for each power j
+    in js.
 
-    ys and k are the exact log-magnitudes from _exact_logmags.  Each value is
-    formed exactly and rounded once, by one int / int division; zero
-    coefficients give -inf, and so do values below the float range.
+    ys and k are the exact log-magnitudes from _exact_logmags, and js lists
+    only the powers a block's tables can hold, so terms left out of the
+    polynomial cost nothing here.  Each value is formed exactly and rounded
+    once, by one int / int division; values below the float range give
+    -inf, and values above it raise SaturationError.
     """
     sn = sigma.numerator << k
     sd = sigma.denominator
     den = sd << k
     ya = ys[anchor]
-    shift = np.full(len(ys), -math.inf)
-    for j, y in enumerate(ys):
-        if y is None:
-            continue
-        num = (y - ya) * sd + (j - anchor) * sn
+    shift = []
+    for j in js:
+        num = (ys[j] - ya) * sd + (j - anchor) * sn
         try:
-            shift[j] = num / den
+            shift.append(num / den)
         except OverflowError:
-            shift[j] = math.inf if num > 0 else -math.inf
-    if np.any(shift == math.inf):
-        raise SaturationError("coefficient magnitudes overflow the block frame")
+            if num > 0:
+                raise SaturationError(
+                    "coefficient magnitudes overflow the block frame"
+                ) from None
+            shift.append(-math.inf)
     return shift
 
 
-def _frame_coefficients(shift, ph, anchor: int, alo: float, ahi: float):
-    """The block's coefficients c_j = e^(shift_j + i ph_j), scaled by powers of 2.
+def _frame_coefficients(shift, js, jrel, ph, alo, ahi):
+    """Frame coefficients c_j = e^(shift_j + i ph_j), scaled by powers of 2.
 
-    Returns (js, coef, ec): the powers of the terms the block keeps, in
-    ascending order, and per kept term a column of coef holding the real and
-    imaginary parts of c_j / 2**ec[i] and of j c_j / 2**ec[i], then
-    |c_j| / 2**ec[i], which lies in [1, 2).  A term more than _DEAD nats
-    below the anchor term at every frame radius from e^alo to e^ahi cannot
-    reach the sums, and a term with shift -inf is zero or negligible; both
-    are left out.
+    Every argument holds one entry per candidate term, and the terms of many
+    blocks may sit side by side: shift, the power js, jrel = js minus the
+    power of the term's block anchor (a float), the phase ph and the block's
+    frame window [alo, ahi] of log-radii.  A term more than _DEAD nats below
+    the anchor term at every frame radius of its window cannot reach the
+    sums, and a term with shift -inf is negligible; both are left out.
+    Returns (keep, coef, ec): the mask of the terms kept and, per kept term,
+    a column of coef holding the real and imaginary parts of c_j / 2**ec[i]
+    and of j c_j / 2**ec[i], then |c_j| / 2**ec[i], which lies in [1, 2).
     """
-    jrel = np.arange(shift.size) - float(anchor)
-    js = np.flatnonzero(shift + np.maximum(jrel * alo, jrel * ahi) >= -_DEAD)
-    shift = shift[js]
+    keep = shift + np.maximum(jrel * alo, jrel * ahi) >= -_DEAD
+    shift = shift[keep]
     # e^shift = 2**ec e^rem with e^rem in [1, 2)
     ec = np.floor(shift / _LN2)
     rem = (shift - ec * _LN2_HI) - ec * _LN2_LO
-    mc = np.exp(rem) * np.exp(1j * ph[js])
-    jc = js * mc
+    mc = np.exp(rem) * np.exp(1j * ph[keep])
+    jc = js[keep] * mc
     coef = np.stack([mc.real, mc.imag, jc.real, jc.imag, np.abs(mc)])
-    return js, coef, ec.astype(np.int64)
+    return keep, coef, ec.astype(np.int64)
 
 
 def _pow2(d: np.ndarray) -> np.ndarray:
@@ -363,13 +365,16 @@ def _evaluate(
     first power p0 gathers its rows of the table; uh^p0 and the exponents
     ec + i e, exact integers, set one scale per chunk and point.  Without
     gaps in pw the gather is a slice.  A chunk holds at most _EVAL_ELEMS
-    entries, which bounds the temporaries near 3 MiB even with coefficients
-    gathered per point.  Every sum is elementwise in a fixed order (never
-    BLAS), so the result does not depend on the thread count.
+    entries, which bounds the temporaries near 3 MiB; with coefficients
+    gathered per point, five more arrays of that size, it holds at most
+    _GATHER_ELEMS, under 1 MiB, so the memory of a stacked evaluation does
+    not grow with the number of blocks.  Every sum is elementwise in a fixed
+    order (never BLAS), so the result does not depend on the thread count.
     """
     m = u.size
     cols = ec.shape[0]
-    rows = min(_CHUNK_ROWS, max(1, _EVAL_ELEMS // m), int(pw[-1]) + 1)
+    elems = _EVAL_ELEMS if at is None else _GATHER_ELEMS
+    rows = min(_CHUNK_ROWS, max(1, elems // m), int(pw[-1]) + 1)
     mag, e = np.frexp(np.abs(u))
     e = e.astype(np.int64)
     q = np.empty((rows, m), dtype=np.complex128)
@@ -434,39 +439,78 @@ class _Block:
     hi_a: float
 
 
-def _block_frame(ph, ys, k, segs, t0) -> _Block:
-    """The frame of the block of hull segments segs; t0 counts the segments
-    of lower blocks, which sets the phase offsets of the initial iterates.
-    ys holds None for every term left out of the polynomial's tables."""
-    radii = [s[0] for s in segs]
-    # The frame center is an exact rational.  A float midrange at scale 1e20+
-    # carries an absolute rounding error of whole nats, which displaces the
-    # in-frame balance points by the same amount -- far beyond the e^+-600
-    # window once the scale passes ~1e18, making the block unsolvable.
-    sigma = (min(radii) + max(radii)) / 2
-    alo = max(float(min(radii) - sigma) - 100.0, -600.0)
-    ahi = min(float(max(radii) - sigma) + 100.0, 600.0)
-    # Term exponents are carried relative to the block's first hull vertex.
-    # Within the block every difference is small by construction; terms from
-    # other blocks are exponentially suppressed here, so dropping them is the
-    # correct limit, not an error.
-    anchor = segs[0][1]
-    js, coef, ec = _frame_coefficients(
-        _frame_shift(ys, k, sigma, anchor), ph, anchor, alo, ahi
+def _block_frames(parts) -> list[_Block]:
+    """The frames of many blocks, built together.
+
+    parts holds per block (js, ph, ys, k, segs, t0): the powers of the terms
+    its polynomial keeps in the tables (ascending) and their phases, the
+    polynomial's exact log-magnitudes ys and k from _exact_logmags, the
+    block's hull segments, and the number of segments of lower blocks of the
+    same polynomial, which sets the phase offsets of the initial iterates.
+    The exact frame shifts are formed per block; the float work on the terms
+    and the initial iterates of all blocks each take one pass over the
+    concatenation.
+    """
+    shift, js, phs, sizes, circles = [], [], [], [], []
+    anchors, sigmas, alos, ahis, roots = [], [], [], [], []
+    for jb, ph, ys, k, segs, t0 in parts:
+        radii = [s[0] for s in segs]
+        # The frame center is an exact rational.  A float midrange at scale
+        # 1e20+ carries an absolute rounding error of whole nats, which
+        # displaces the in-frame balance points by the same amount -- far
+        # beyond the e^+-600 window once the scale passes ~1e18, making the
+        # block unsolvable.
+        sigma = (min(radii) + max(radii)) / 2
+        # Term exponents are carried relative to the block's first hull
+        # vertex.  Within the block every difference is small by
+        # construction; terms from other blocks are exponentially suppressed
+        # here, so dropping them is the correct limit, not an error.
+        anchor = segs[0][1]
+        shift += _frame_shift(jb, ys, k, sigma, anchor)
+        js += jb
+        phs.append(ph)
+        sizes.append(len(jb))
+        anchors.append(anchor)
+        sigmas.append(sigma)
+        alos.append(max(float(min(radii) - sigma) - 100.0, -600.0))
+        ahis.append(min(float(max(radii) - sigma) + 100.0, 600.0))
+        circles += [
+            (math.exp(float(r - sigma)), TAU * (((t0 + t + 1) * _GOLDEN) % 1.0), b - a)
+            for t, (r, a, b) in enumerate(segs)
+        ]
+        roots.append(segs[-1][2] - anchor)
+    js = np.array(js, dtype=np.int64)
+    keep, coef, ec = _frame_coefficients(
+        np.array(shift),
+        js,
+        js - np.repeat(np.array(anchors, dtype=np.float64), sizes),
+        np.concatenate(phs),
+        np.repeat(alos, sizes),
+        np.repeat(ahis, sizes),
     )
-    # roots of radially lower blocks sit near 0 in this frame; a point charge
-    # there makes the update Aberth on the implicitly deflated polynomial
-    # (fixed points are unchanged: the correction is zero only where p is)
-    return _Block(
-        coef,
-        ec,
-        js - js[0],
-        _initial_iterates(segs, sigma, t0),
-        sigma,
-        float(anchor),
-        math.exp(alo),
-        math.exp(ahi),
-    )
+    js = js[keep]
+    ends = np.cumsum(keep)[np.cumsum(sizes) - 1].tolist()
+    u0 = _initial_iterates(circles)
+    rends = np.cumsum(roots).tolist()
+    # roots of radially lower blocks sit near 0 in a block's frame; a point
+    # charge there makes the update Aberth on the implicitly deflated
+    # polynomial (fixed points are unchanged: the correction is zero only
+    # where p is)
+    return [
+        _Block(
+            coef[:, a:b],
+            ec[a:b],
+            js[a:b] - js[a],
+            u0[r1 - m : r1],
+            sigma,
+            float(anchor),
+            math.exp(alo),
+            math.exp(ahi),
+        )
+        for a, b, r1, m, sigma, anchor, alo, ahi in zip(
+            [0] + ends[:-1], ends, rends, roots, sigmas, anchors, alos, ahis
+        )
+    ]
 
 
 def _iterate(blocks: list[_Block], tol: float, max_iter: int):
@@ -488,16 +532,16 @@ def _iterate(blocks: list[_Block], tol: float, max_iter: int):
     u = np.concatenate([b.u0 for b in blocks])
     # a column for every power that some block keeps (no np.unique: its
     # first call pages in sorting code, 1.7 MiB of resident memory)
-    kept = np.zeros(max(int(b.pw[-1]) for b in blocks) + 1, dtype=bool)
-    for b in blocks:
-        kept[b.pw] = True
+    pws = np.concatenate([b.pw for b in blocks])
+    kept = np.zeros(int(pws.max()) + 1, dtype=bool)
+    kept[pws] = True
     pw = np.flatnonzero(kept)
-    col = np.cumsum(kept) - 1  # column of each kept power
+    col = (np.cumsum(kept) - 1)[pws]  # column of each term
+    tb = np.repeat(np.arange(nb), [b.pw.size for b in blocks])  # block of each term
     coef = np.zeros((5, pw.size, nb))
     ec = np.full((pw.size, nb), _EXP_FLOOR, dtype=np.int64)
-    for i, b in enumerate(blocks):
-        coef[:, col[b.pw], i] = b.coef
-        ec[col[b.pw], i] = b.ec
+    coef[:, col, tb] = np.concatenate([b.coef for b in blocks], axis=1)
+    ec[col, tb] = np.concatenate([b.ec for b in blocks])
     charge = np.array([b.charge for b in blocks])[bid]
     lo_a = np.array([b.lo_a for b in blocks])[bid]
     hi_a = np.array([b.hi_a for b in blocks])[bid]
@@ -508,7 +552,9 @@ def _iterate(blocks: list[_Block], tol: float, max_iter: int):
     else:
         grid = np.zeros((nb, mmax), dtype=np.complex128)
         pad = np.arange(mmax) >= sizes[:, None]
-    step = max(1, _PAIR_ELEMS // mmax)  # rows of pairwise differences at a time
+    # rows of pairwise differences at a time; a stacked chunk gathers its
+    # rows from the grid, so its bound keeps that copy small
+    step = max(1, (_PAIR_ELEMS if nb == 1 else _GATHER_ELEMS) // mmax)
     tol_eff = max(tol, 1.4e-14)
     rel = np.full(u.size, np.inf)
     resid = np.full(u.size, np.inf)
@@ -568,7 +614,8 @@ def _iterate(blocks: list[_Block], tol: float, max_iter: int):
             if nb == 1:
                 d = ua[a : a + step, None] - grid
             else:
-                d = ua[a : a + step, None] - grid[bid[own]]
+                d = grid[bid[own]]
+                np.subtract(ua[a : a + step, None], d, out=d)
                 d[pad[bid[own]]] = np.inf  # pad entries add 0
             d[np.arange(own.size), pos[own]] = np.inf  # the root itself adds 0
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -633,19 +680,22 @@ def aberth_solve_many(
     does not depend on the other polynomials beyond rounding.
     """
     owner = []  # polynomial index of each block
-    blocks = []
+    parts = []
     for i, p in enumerate(polys):
         if p.degree == 0:
             continue  # no roots
         ys, k = _exact_logmags(p.lm)
         hull = _polygon_segments(ys, k)
         # a negligible term is left out like a zero one, in every block
-        ys = [None if d else y for y, d in zip(ys, _negligible(ys, k, hull))]
+        drop = _negligible(ys, k, hull)
+        js = [j for j, (y, d) in enumerate(zip(ys, drop)) if y is not None and not d]
+        ph = p.ph[js]
         t0 = 0
         for segs in _split_blocks(hull):
-            blocks.append(_block_frame(p.ph, ys, k, segs, t0))
+            parts.append((js, ph, ys, k, segs, t0))
             owner.append(i)
             t0 += len(segs)
+    blocks = _block_frames(parts) if parts else []
     small = [j for j, b in enumerate(blocks) if b.u0.size <= _BATCH_ROOTS]
     groups = [[j] for j, b in enumerate(blocks) if b.u0.size > _BATCH_ROOTS]
     if small:

@@ -75,10 +75,20 @@ def clogsumexp_vec(lm: np.ndarray, ph: np.ndarray, axis: int = 0):
 
 
 def relative_distance_matrix(lm_w, ph_w, lm_z, ph_z) -> np.ndarray:
-    """D[i, j] = |z_j / w_i - 1|; rows index reference values w."""
-    d_lm = lm_z[None, :] - lm_w[:, None]
-    d_ph = ph_z[None, :] - ph_w[:, None]
+    """D[..., i, j] = |z_j / w_i - 1|; rows index reference values w.
+
+    Leading axes, if any, index independent sets of values, one matrix each.
+    The matrix and two temporaries of its size are all the memory it takes.
+    """
+    d_lm = lm_z[..., None, :] - lm_w[..., :, None]
+    d_ph = ph_z[..., None, :] - ph_w[..., :, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        t = np.exp(d_lm)
-        d = np.hypot(t * np.cos(d_ph) - 1.0, t * np.sin(d_ph))
-    return np.where(np.isnan(d), np.inf, d)
+        t = np.exp(d_lm, out=d_lm)
+        re = np.cos(d_ph)
+        re *= t
+        re -= 1.0
+        im = np.sin(d_ph, out=d_ph)
+        im *= t
+        d = np.hypot(re, im, out=re)
+    d[np.isnan(d)] = np.inf
+    return d

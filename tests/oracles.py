@@ -16,8 +16,9 @@ exact permutations the production matcher must reproduce.
 The block-frame oracles are slower, independent formulations of the solver's
 frame arithmetic: the Newton-polygon hull, each term's depth below it and
 the frame shift in Fraction arithmetic, a dense log-domain evaluation that
-builds (n+1) x m arrays of term logs and phases, and residuals of roots over
-every coefficient with term logs formed exactly.
+builds (n+1) x m arrays of term logs and phases, residuals of roots over
+every coefficient with term logs formed exactly, and a block's whole frame
+formed on its own, one coefficient and one circle at a time.
 
 The scalar-chain oracles compute, one XComplex or XReal at a time, what the
 library computes on (logmag, phase) arrays: the relative distance of two
@@ -34,6 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from heavyroots.localization import CertificateEvents, threshold_logmag
+from heavyroots.roots import _DEAD, _GOLDEN, _LN2, _LN2_HI, _LN2_LO, _Block
 from heavyroots.xnum import (
     EXP_MAX,
     TAU,
@@ -43,6 +45,7 @@ from heavyroots.xnum import (
     XReal,
     XR_ZERO,
     XZERO,
+    SaturationError,
     from_complex,
     phase_distance,
     softplus,
@@ -322,6 +325,47 @@ def fraction_frame_shift(lm, sigma: Fraction, anchor: int) -> np.ndarray:
         except OverflowError:
             shift[j] = math.inf if Fraction(v) + j * sigma > base else -math.inf
     return shift
+
+
+def block_frame(lm, ph, segs, t0: int) -> _Block:
+    """The frame of the block of hull segments segs, formed on its own.
+
+    lm holds -inf for every term left out of the tables.  Every coefficient's
+    shift is taken in Fraction arithmetic, the terms out of float reach are
+    dropped for this block alone, and the initial iterates are laid out one
+    circle at a time; t0 counts the segments of lower blocks.
+    """
+    radii = [r for r, _, _ in segs]
+    sigma = (min(radii) + max(radii)) / 2
+    alo = max(float(min(radii) - sigma) - 100.0, -600.0)
+    ahi = min(float(max(radii) - sigma) + 100.0, 600.0)
+    anchor = segs[0][1]
+    shift = fraction_frame_shift(lm, sigma, anchor)
+    if np.any(shift == math.inf):
+        raise SaturationError("coefficient magnitudes overflow the block frame")
+    jrel = np.arange(shift.size) - float(anchor)
+    js = np.flatnonzero(shift + np.maximum(jrel * alo, jrel * ahi) >= -_DEAD)
+    shift = shift[js]
+    ec = np.floor(shift / _LN2)
+    rem = (shift - ec * _LN2_HI) - ec * _LN2_LO
+    mc = np.exp(rem) * np.exp(1j * ph[js])
+    jc = js * mc
+    circles = []
+    for t, (r, j1, j2) in enumerate(segs):
+        m = j2 - j1
+        off = TAU * (((t0 + t + 1) * _GOLDEN) % 1.0)
+        phases = off + TAU * np.arange(m) / m
+        circles.append(math.exp(float(r - sigma)) * np.exp(1j * phases))
+    return _Block(
+        np.stack([mc.real, mc.imag, jc.real, jc.imag, np.abs(mc)]),
+        ec.astype(np.int64),
+        js - js[0],
+        np.concatenate(circles),
+        sigma,
+        float(anchor),
+        math.exp(alo),
+        math.exp(ahi),
+    )
 
 
 def dense_frame_sums(shift, ph, u):

@@ -11,6 +11,7 @@ import pytest
 
 from heavyroots.cli import main as cli_main
 from heavyroots.experiments import (
+    _CHUNK_ROOTS,
     ExperimentConfig,
     _chunks,
     TrialRecord,
@@ -230,7 +231,10 @@ def test_records_hold_plain_python_values():
 
 
 def test_worker_count_never_changes_results():
-    cfg = _config(degrees=(10, 15), trials=12, master_seed=41)
+    # three full chunks and a partial one at n=10, so several chunks of each
+    # degree run concurrently
+    cfg = _config(degrees=(10, 15), trials=3 * (_CHUNK_ROOTS // 10) + 1, master_seed=41)
+    assert all(sum(m == n for m, _ in _chunks(cfg)) >= 4 for n in cfg.degrees)
     s1, r1 = run_experiment(cfg, workers=1)
     s4, r4 = run_experiment(cfg, workers=4)
     assert json.dumps(s1, sort_keys=True) == json.dumps(s4, sort_keys=True)
@@ -248,20 +252,29 @@ def test_rerun_is_byte_identical(tmp_path):
 
 
 def test_chunk_boundaries_never_change_outputs(tmp_path):
-    # 7 trials split into chunks of 6 + 1 at n=20 and 2 + 2 + 2 + 1 at n=50;
-    # n=300 takes one trial per chunk
+    # a chunk of degree n holds _CHUNK_ROOTS // n trials (at least one), so
+    # with two more trials than a full chunk at n=20, both n=20 and n=50 split
+    # into full chunks and a partial last one; n=300 takes one trial per chunk
     cfg = _config(
         kind="matching",
         degrees=(20, 50, 300),
-        trials=7,
+        trials=_CHUNK_ROOTS // 20 + 2,
         delta=None,
         distribution=_dist("double_log_slow_tail"),
         master_seed=17,
     )
+    expected = {}
+    for n in cfg.degrees:
+        size = max(1, _CHUNK_ROOTS // n)
+        full, rest = divmod(cfg.trials, size)
+        expected[n] = [size] * full + [rest] * (rest > 0)
+    for n in (20, 50):
+        assert len(expected[n]) >= 2 and 0 < expected[n][-1] < expected[n][0]
+    assert expected[300] == [1] * cfg.trials
     sizes: dict[int, list[int]] = {}
     for n, trials in _chunks(cfg):
         sizes.setdefault(n, []).append(len(trials))
-    assert sizes == {20: [6, 1], 50: [2, 2, 2, 1], 300: [1] * 7}
+    assert sizes == expected
     outputs = []
     for workers in (1, 2, 3):
         summary, records = run_experiment(cfg, workers=workers)

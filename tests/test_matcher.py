@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import sys
 
@@ -20,6 +21,7 @@ from heavyroots.matcher import (
     bottleneck_assignment,
     greedy_assignment,
     match_roots,
+    match_roots_many,
 )
 from heavyroots.roots import (
     PredictedRoots,
@@ -28,9 +30,14 @@ from heavyroots.roots import (
     polynomial,
     predicted_roots,
 )
-from heavyroots.sampler import CoefficientVector
+from heavyroots.roots import aberth_solve_many
+from heavyroots.sampler import (
+    CoefficientDistribution,
+    CoefficientVector,
+    sample_coefficients,
+)
 from heavyroots.xnum import XONE, from_complex, xcomplex
-from heavyroots.xvec import as_arrays
+from heavyroots.xvec import as_arrays, relative_distance_matrix
 
 
 def _rootset(roots):
@@ -270,3 +277,94 @@ def test_match_validates_inputs():
         match_roots(_rootset(_unit_circle(3)), pred, 0.5, 4)
     with pytest.raises(ValueError):
         match_roots(rs, pred, 0.5, 5)
+
+
+def _greedy_then_search(dist):
+    """The worst error of the greedy pass, or of the bracketed search when
+    the greedy worst exceeds the row/column-minimum bound."""
+    perm, worst = greedy_assignment(dist)
+    bound = max(float(dist.min(axis=1).max()), float(dist.min(axis=0).max()))
+    if worst > bound:
+        perm, worst = bottleneck_assignment(dist, bound, worst)
+    return worst
+
+
+def _two_circle_instances(rng, count):
+    """(computed, predicted) pairs with predicted roots on two circles, in
+    the three families of test_bracketed_search_reproduces_full_search:
+    continuous positions, positions tied exactly (computed roots repeat
+    predicted ones), and clustered (a perturbed pairing plus repeats)."""
+    out = []
+    for case in range(count):
+        n = int(rng.integers(2, 16))
+        tau = int(rng.integers(1, n))
+        radii = np.sort(rng.uniform(-3.0, 3.0, 2))
+        ph = rng.uniform(-math.pi, math.pi, n)
+        pred = PredictedRoots(tau, radii[0], radii[1], ph)
+        if case % 3 == 0:
+            lm = rng.uniform(radii[0] - 0.5, radii[1] + 0.5, n)
+            ph = rng.uniform(-math.pi, math.pi, n)
+        elif case % 3 == 1:
+            pick = rng.integers(0, n, n)
+            lm, ph = pred.lm[pick], pred.ph[pick]
+        else:
+            pick = rng.permutation(n)
+            lm = pred.lm[pick] + rng.normal(0.0, 0.05, n)
+            ph = pred.ph[pick] + rng.normal(0.0, 0.05, n)
+            tied = rng.random(n) < 0.2
+            lm[tied], ph[tied] = pred.lm[0], pred.ph[0]
+        out.append((RootSet(lm, ph, np.zeros(n), True), pred))
+    return out
+
+
+def _sampled_double_log_trials(n, seeds):
+    dist = CoefficientDistribution("double_log_slow_tail", beta=1.0, cap=690.0)
+    vecs = [sample_coefficients(dist, n, s) for s in seeds]
+    solved = aberth_solve_many([polynomial(c.lm, c.ph) for c in vecs])
+    return [
+        (rs, None if c.tau in (0, n) else predicted_roots(c))
+        for c, rs in zip(vecs, solved)
+    ]
+
+
+def test_nearest_neighbour_certificate_gives_the_exact_bottleneck():
+    # the worst error is the full search's value exactly on every route, and
+    # holds and degenerate are what the greedy pass and bracketed search
+    # give; the permutation is a valid assignment reaching that worst error;
+    # matching a chunk of trials at once equals matching them one at a time
+    # in every field but the permutation
+    rng = np.random.default_rng(4242)
+    groups = {}
+    for rs, pred in _two_circle_instances(rng, 600):
+        groups.setdefault(rs.lm.size, []).append((rs, pred))
+    for n in (20, 50):
+        groups[n] = _sampled_double_log_trials(n, range(500 + n, 550 + n))
+    routes = {True: 0, False: 0}
+    degenerate = 0
+    for n, trials in groups.items():
+        computed = [rs for rs, _ in trials]
+        predicted = [pred for _, pred in trials]
+        batches = [match_roots_many(computed, predicted, eps, n) for eps in (0.05, 0.5)]
+        for t, (rs, pred) in enumerate(trials):
+            if pred is None:
+                degenerate += 1
+            else:
+                dist = relative_distance_matrix(pred.lm, pred.ph, rs.lm, rs.ph)
+                _, want = search_bottleneck(dist)
+                assert want == _greedy_then_search(dist)
+                routes[np.unique(dist.argmin(axis=1)).size == n] += 1
+            for eps, batch in zip((0.05, 0.5), batches):
+                got = batch[t]
+                one = match_roots(rs, pred, eps, n)
+                unordered = dataclasses.replace(got, permutation=None)
+                assert unordered == dataclasses.replace(one, permutation=None)
+                if pred is None:
+                    assert got == MatchResult(False, None, math.inf, True)
+                    continue
+                assert got.worst_relative_error == want
+                assert got.holds == (want < eps / n) and not got.degenerate
+                perm = np.array(got.permutation)
+                assert sorted(perm.tolist()) == list(range(n))
+                assert dist[np.arange(n), perm].max() == want
+    # both routes and degenerate trials are exercised
+    assert routes[True] > 150 and routes[False] > 300 and degenerate > 0, routes

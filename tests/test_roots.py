@@ -1,5 +1,6 @@
 """Unit tests for polynomial construction, hull radii, solving, predictions."""
 
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -12,11 +13,11 @@ from heavyroots.roots import (
     RootSet,
     _BATCH_ROOTS,
     _EXP_FLOOR,
+    _block_frames,
     _evaluate,
     _exact_logmags,
     _frame_coefficients,
     _frame_shift,
-    _initial_iterates,
     _negligible,
     _polygon_segments,
     _split_blocks,
@@ -47,6 +48,7 @@ from heavyroots.xnum import (
 from heavyroots.xvec import as_arrays, from_arrays, relative_distance_matrix
 from oracles import (
     best_root_matching,
+    block_frame,
     cubic_roots,
     dense_frame_sums,
     fraction_frame_shift,
@@ -225,15 +227,16 @@ def test_integer_hull_matches_fraction_hull():
 def test_exact_frame_shift_matches_fraction_shift():
     for lm in _hull_inputs():
         for ys, k, _, sigma, anchor in _frames(lm):
-            exact = _frame_shift(ys, k, sigma, anchor)
-            assert np.array_equal(exact, fraction_frame_shift(lm, sigma, anchor))
+            js = [j for j, y in enumerate(ys) if y is not None]
+            exact = _frame_shift(js, ys, k, sigma, anchor)
+            assert np.array_equal(exact, fraction_frame_shift(lm, sigma, anchor)[js])
 
 
 def _kept(lm):
-    """The exact log-magnitudes of lm with None for every term left out."""
+    """The powers of the terms of lm that the tables keep."""
     ys, k = _exact_logmags(lm)
     drop = _negligible(ys, k, _polygon_segments(ys, k))
-    return [None if d else y for y, d in zip(ys, drop)]
+    return [j for j, (y, d) in enumerate(zip(ys, drop)) if y is not None and not d]
 
 
 def test_negligible_terms_match_fraction_oracle():
@@ -257,7 +260,62 @@ def test_negligible_terms_match_fraction_oracle():
 def test_frame_shift_overflow_saturates():
     ys, k = _exact_logmags(np.array([0.0, 0.0]))
     with pytest.raises(SaturationError):
-        _frame_shift(ys, k, Fraction(10**400), 0)
+        _frame_shift([0, 1], ys, k, Fraction(10**400), 0)
+
+
+def _assert_same_block(got, want):
+    for f in dataclasses.fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape, f.name
+            assert a.tobytes() == b.tobytes(), f.name
+        else:
+            assert type(a) is type(b) and a == b, f.name
+
+
+def test_batched_frames_match_block_by_block_frames():
+    # every block of every polynomial framed in one call, against each block
+    # framed on its own from every coefficient; a block whose frame overflows
+    # raises alone and inside a batch
+    rng = np.random.default_rng(35)
+    # two one-circle blocks whose radii differ by 999.5 and 1000.5 nats: the
+    # top term lies 799.5 and 800.5 nats below the lower block's anchor term
+    # at the edge of its frame window, just inside and just outside the
+    # _DEAD cut
+    lms = _hull_inputs() + [np.array([0.0, 0.0, -r]) for r in (999.5, 1000.5)]
+    inputs = [(lm, rng.uniform(-math.pi, math.pi, lm.size)) for lm in lms]
+    inputs += _evaluation_inputs()
+    parts, want = [], []
+    for lm, ph in inputs:
+        ys, k = _exact_logmags(lm)
+        kept = _kept(lm)
+        dropped = np.full(lm.size, -math.inf)
+        dropped[kept] = lm[kept]
+        t0 = 0
+        for segs in _split_blocks(_polygon_segments(ys, k)):
+            parts.append((kept, ph[kept], ys, k, segs, t0))
+            want.append(block_frame(dropped, ph, segs, t0))
+            t0 += len(segs)
+    got = _block_frames(parts)
+    assert len(got) == len(want) > 300
+    for g, w in zip(got, want):
+        _assert_same_block(g, w)
+    # frames beyond the float range: the term of power 1 lies 10^400 nats
+    # above (raises) or below (left out) the anchor term
+    ys, k = _exact_logmags(np.zeros(2))
+    ph = np.array([0.5, -0.5])
+    for radius, raises in ((Fraction(10**400), True), (Fraction(-(10**400)), False)):
+        part = ([0, 1], ph, ys, k, [(radius, 0, 1)], 0)
+        if raises:
+            with pytest.raises(SaturationError):
+                block_frame(np.zeros(2), ph, part[4], 0)
+            for batch in ([part], parts[:5] + [part] + parts[5:9]):
+                with pytest.raises(SaturationError):
+                    _block_frames(batch)
+        else:
+            (g,) = _block_frames([part])
+            _assert_same_block(g, block_frame(np.zeros(2), ph, part[4], 0))
+            assert g.pw.tolist() == [0]
 
 
 def _evaluation_inputs():
@@ -306,13 +364,20 @@ def _evaluation_cases():
         for ys, k, block, sigma, anchor in _frames(lm):
             alo = max(float(block[0][0] - sigma) - 100.0, -600.0)
             ahi = min(float(block[-1][0] - sigma) + 100.0, 600.0)
-            shift = _frame_shift(ys, k, sigma, anchor)
-            js, coef, ec = _frame_coefficients(
-                _frame_shift(kept, k, sigma, anchor), ph, anchor, alo, ahi
+            shift = fraction_frame_shift(lm, sigma, anchor)
+            js = np.array(kept)
+            keep, coef, ec = _frame_coefficients(
+                np.array(_frame_shift(kept, ys, k, sigma, anchor)),
+                js,
+                js - float(anchor),
+                ph[js],
+                alo,
+                ahi,
             )
+            js = js[keep]
             u = np.concatenate(
                 [
-                    _initial_iterates(block, sigma, 0),
+                    _block_frames([(kept, ph[kept], ys, k, block, 0)])[0].u0,
                     np.exp(rng.uniform(alo, ahi, 20) + 1j * rng.uniform(-4, 4, 20)),
                     np.exp([alo, ahi]),
                 ]
@@ -453,7 +518,7 @@ def test_pruned_solves_have_small_residuals_on_the_full_polynomial():
     vecs += [sample_coefficients(dlog, n, s) for n in (20, 50) for s in (1, 2)]
     polys = [polynomial(c.lm, c.ph) for c in vecs]
     for p, rs in zip(polys, aberth_solve_many(polys)):
-        assert _kept(p.lm).count(None) > p.degree // 2  # most terms left out
+        assert p.degree + 1 - len(_kept(p.lm)) > p.degree // 2  # most terms left out
         assert rs.converged
         assert full_residuals(p.lm, p.ph, rs.lm, rs.ph).max() <= 1e-10
 
