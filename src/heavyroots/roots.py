@@ -28,6 +28,16 @@ almost every term, and a table holds only the kept powers.  A root whose last
 relative correction is at most tol is frozen: it still repels the others but
 is neither evaluated nor moved again (the rule MPSolve uses).
 
+Initial iterates sit on the hull circles.  A block of one circle whose table
+keeps only the circle's two end terms a and b is, to within rounding, the
+binomial c_a z^a + c_b z^b; the roots of such a block are known in closed
+form, so they are its initial iterates and it settles at its first evaluation.
+When the hull vertices are {0, tau, n} both of the paper's circles are such
+blocks.  Every other circle starts at equispaced points offset by a
+golden-ratio fraction of a turn, different on each circle: in a block with
+more terms, the roots of a binomial part can be symmetric about the real axis,
+and with real coefficients the iteration would keep the iterates symmetric.
+
 The simultaneous update of a root depends only on its own block, so the small
 blocks of many polynomials iterate together as one stacked array, each with
 its own stop rule, and the frames of all the blocks are built in one pass;
@@ -270,11 +280,10 @@ def _split_blocks(
     return blocks
 
 
-def _initial_iterates(circles) -> np.ndarray:
-    """Equispaced points on every circle, each with a golden-ratio phase
-    offset, built in one pass; circles holds (radius, offset, roots) per
-    circle, the radius a float in the frame of the circle's block."""
-    scale, off, m = (np.array(c) for c in zip(*circles))
+def _initial_iterates(scale, off, m) -> np.ndarray:
+    """Equispaced points on every circle, built in one pass: per circle, the
+    radius scale (a float in the frame of the circle's block), the phase
+    offset off of its first point and its number of roots m."""
     k = np.arange(m.sum()) - np.repeat(np.cumsum(m) - m, m)
     phases = np.repeat(off, m) + TAU * k / np.repeat(m, m)
     return np.repeat(scale, m) * np.exp(1j * phases)
@@ -450,9 +459,19 @@ def _block_frames(parts) -> list[_Block]:
     The exact frame shifts are formed per block; the float work on the terms
     and the initial iterates of all blocks each take one pass over the
     concatenation.
+
+    A block of one hull segment (a, b) whose table keeps only the powers a
+    and b is a binomial: every other term is negligible, or beyond the float
+    range at every radius of its frame, so its roots are those of
+    c_a + c_b u^(b-a) to within rounding.  Its initial iterates are those
+    roots: modulus 1 in the frame (sigma is the segment's radius) and phases
+    (pi + ph_a - ph_b + 2 pi j) / (b - a).  Every other circle keeps
+    equispaced points with a golden-ratio phase offset (see the module
+    docstring for why).
     """
-    shift, js, phs, sizes, circles = [], [], [], [], []
+    shift, js, phs, sizes, nsegs = [], [], [], [], []
     anchors, sigmas, alos, ahis, roots = [], [], [], [], []
+    scale, off, m = [], [], []
     for jb, ph, ys, k, segs, t0 in parts:
         radii = [s[0] for s in segs]
         # The frame center is an exact rational.  A float midrange at scale
@@ -470,27 +489,38 @@ def _block_frames(parts) -> list[_Block]:
         js += jb
         phs.append(ph)
         sizes.append(len(jb))
+        nsegs.append(len(segs))
         anchors.append(anchor)
         sigmas.append(sigma)
         alos.append(max(float(min(radii) - sigma) - 100.0, -600.0))
         ahis.append(min(float(max(radii) - sigma) + 100.0, 600.0))
-        circles += [
-            (math.exp(float(r - sigma)), TAU * (((t0 + t + 1) * _GOLDEN) % 1.0), b - a)
-            for t, (r, a, b) in enumerate(segs)
-        ]
+        for t, (r, a, b) in enumerate(segs):
+            scale.append(math.exp(float(r - sigma)))
+            off.append(TAU * (((t0 + t + 1) * _GOLDEN) % 1.0))
+            m.append(b - a)
         roots.append(segs[-1][2] - anchor)
     js = np.array(js, dtype=np.int64)
+    phs = np.concatenate(phs)
     keep, coef, ec = _frame_coefficients(
         np.array(shift),
         js,
         js - np.repeat(np.array(anchors, dtype=np.float64), sizes),
-        np.concatenate(phs),
+        phs,
         np.repeat(alos, sizes),
         np.repeat(ahis, sizes),
     )
     js = js[keep]
-    ends = np.cumsum(keep)[np.cumsum(sizes) - 1].tolist()
-    u0 = _initial_iterates(circles)
+    ends = np.cumsum(keep)[np.cumsum(sizes) - 1]
+    starts = np.concatenate([[0], ends[:-1]])
+    # a binomial block starts at its roots.  A block keeps every one of its
+    # hull vertices (each is the largest term at its own radius), so two
+    # kept terms are the ends a < b of its one segment
+    two = ends - starts == 2
+    first = (np.cumsum(nsegs) - nsegs)[two]  # the block's one circle
+    off, m = np.array(off), np.array(m)
+    pk = phs[keep]
+    off[first] = (math.pi + pk[starts[two]] - pk[starts[two] + 1]) / m[first]
+    u0 = _initial_iterates(np.array(scale), off, m)
     rends = np.cumsum(roots).tolist()
     # roots of radially lower blocks sit near 0 in a block's frame; a point
     # charge there makes the update Aberth on the implicitly deflated
@@ -508,7 +538,7 @@ def _block_frames(parts) -> list[_Block]:
             math.exp(ahi),
         )
         for a, b, r1, m, sigma, anchor, alo, ahi in zip(
-            [0] + ends[:-1], ends, rends, roots, sigmas, anchors, alos, ahis
+            starts.tolist(), ends.tolist(), rends, roots, sigmas, anchors, alos, ahis
         )
     ]
 

@@ -333,7 +333,9 @@ def block_frame(lm, ph, segs, t0: int) -> _Block:
     lm holds -inf for every term left out of the tables.  Every coefficient's
     shift is taken in Fraction arithmetic, the terms out of float reach are
     dropped for this block alone, and the initial iterates are laid out one
-    circle at a time; t0 counts the segments of lower blocks.
+    circle at a time; t0 counts the segments of lower blocks.  A circle that
+    is the whole block and whose only terms left are its two ends starts at
+    the roots of that binomial.
     """
     radii = [r for r, _, _ in segs]
     sigma = (min(radii) + max(radii)) / 2
@@ -353,7 +355,10 @@ def block_frame(lm, ph, segs, t0: int) -> _Block:
     circles = []
     for t, (r, j1, j2) in enumerate(segs):
         m = j2 - j1
-        off = TAU * (((t0 + t + 1) * _GOLDEN) % 1.0)
+        if len(segs) == 1 and js.tolist() == [j1, j2]:
+            off = (math.pi + ph[j1] - ph[j2]) / m
+        else:
+            off = TAU * (((t0 + t + 1) * _GOLDEN) % 1.0)
         phases = off + TAU * np.arange(m) / m
         circles.append(math.exp(float(r - sigma)) * np.exp(1j * phases))
     return _Block(

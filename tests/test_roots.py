@@ -13,6 +13,7 @@ from heavyroots.roots import (
     RootSet,
     _BATCH_ROOTS,
     _EXP_FLOOR,
+    _GOLDEN,
     _block_frames,
     _evaluate,
     _exact_logmags,
@@ -36,6 +37,7 @@ from heavyroots.sampler import (
     sample_coefficients,
 )
 from heavyroots.xnum import (
+    TAU,
     SaturationError,
     XMINUS_ONE,
     XONE,
@@ -300,6 +302,9 @@ def test_batched_frames_match_block_by_block_frames():
     assert len(got) == len(want) > 300
     for g, w in zip(got, want):
         _assert_same_block(g, w)
+    # both starts: binomial blocks at their roots, the rest golden-ratio
+    binomial = sum(len(p[4]) == 1 and g.pw.size == 2 for p, g in zip(parts, got))
+    assert 100 < binomial < len(got) - 100
     # frames beyond the float range: the term of power 1 lies 10^400 nats
     # above (raises) or below (left out) the anchor term
     ys, k = _exact_logmags(np.zeros(2))
@@ -622,12 +627,13 @@ def test_batched_solve_matches_single_solves():
 
 
 def test_unsettled_block_fails_only_its_own_polynomial():
-    # a linear block is exact after one Newton step and stops at the next
-    # evaluation; the 50-root block cannot settle in two iterations
+    # the 1-root blocks settle within two iterations; the 50-root block of
+    # three circles, which is not a binomial, cannot
     rng = np.random.default_rng(8)
-    dlog = CoefficientDistribution("double_log_slow_tail", beta=1.0, cap=690.0)
-    c = sample_coefficients(dlog, 50, 3)
+    c = sample_coefficients(CoefficientDistribution("cauchy"), 50, 3)
     hard = polynomial(c.lm, c.ph)
+    (block,) = _split_blocks(_polygon_segments(*_exact_logmags(c.lm)))
+    assert len(block) == 3 and block[-1][2] - block[0][1] == 50
     easy = [_random_poly(rng, 1, 40.0) for _ in range(3)]
     easy.append(_poly(XONE, xcomplex(100.0, 1.0), XONE))  # two 1-root blocks
     polys = [easy[0], hard, *easy[1:]]
@@ -638,6 +644,65 @@ def test_unsettled_block_fails_only_its_own_polynomial():
             assert got.converged == aberth_solve(p, max_iter=2).converged
         else:
             _assert_same_roots(got, aberth_solve(p, max_iter=2))
+
+
+def test_binomial_blocks_settle_at_their_first_evaluation():
+    # at n=50 every double-log block is a binomial: it starts at its roots,
+    # real coefficients included, and one iteration is enough
+    for phases in ("uniform_phase", "real_rademacher"):
+        dlog = CoefficientDistribution(
+            "double_log_slow_tail", beta=1.0, cap=690.0, phase_model=phases
+        )
+        polys = []
+        for seed in range(4):
+            c = sample_coefficients(dlog, 50, seed)
+            polys.append(polynomial(c.lm, c.ph))
+        for rs in aberth_solve_many(polys, max_iter=1):
+            assert rs.converged and rs.residuals.max() <= 1e-11
+
+
+def test_two_circle_draws_give_the_predicted_roots():
+    # when the hull vertices are {0, tau, n}, both circles are binomial
+    # blocks, so the solver returns the predicted roots to rounding: radii
+    # bitwise, roots within 1e-14 relative
+    dlog = CoefficientDistribution("double_log_slow_tail", beta=1.0, cap=690.0)
+    checked = 0
+    for n in (20, 50):
+        for seed in range(40):
+            c = sample_coefficients(dlog, n, seed)
+            segs = _polygon_segments(*_exact_logmags(c.lm))
+            if [a for _, a, _ in segs] + [n] != [0, c.tau, n]:
+                continue
+            checked += 1
+            rs = aberth_solve(polynomial(c.lm, c.ph))
+            pr = predicted_roots(c)
+            assert rs.converged
+            assert rs.lm.tobytes() == pr.lm.tobytes()
+            dist = relative_distance_matrix(pr.lm, pr.ph, rs.lm, rs.ph)
+            assert bottleneck_assignment(dist)[1] <= 1e-14
+    assert checked >= 60
+
+
+def test_only_a_binomial_block_starts_at_its_roots():
+    # one circle of 4 roots; the terms of powers 1 and 3 lie 100 nats below
+    # the hull and are left out, and the term of power 2 lies exactly 64
+    # nats below it (kept) or 64.25 nats (left out)
+    ph = np.array([0.3, 0.0, math.pi, 0.0, -1.2])
+    for depth, binomial in ((64.0, False), (64.25, True)):
+        lm = np.array([0.0, -100.0, -depth, -100.0, 0.0])
+        ys, k = _exact_logmags(lm)
+        kept = _kept(lm)
+        (segs,) = _split_blocks(_polygon_segments(ys, k))
+        (block,) = _block_frames([(kept, ph[kept], ys, k, segs, 0)])
+        assert block.pw.tolist() == ([0, 4] if binomial else [0, 2, 4])
+        if binomial:  # the roots of c_0 + c_4 u^4
+            want = (math.pi + ph[0] - ph[4] + TAU * np.arange(4)) / 4
+        else:  # equispaced, offset by a golden-ratio fraction of a turn
+            want = TAU * (_GOLDEN + np.arange(4) / 4)
+        assert np.abs(block.u0 - np.exp(1j * want)).max() <= 1e-15
+        p = polynomial(lm, ph)
+        assert aberth_solve(p, max_iter=1).converged == binomial
+        assert aberth_solve(p).converged
 
 
 def test_scaling_all_coefficients_leaves_roots_in_place():
