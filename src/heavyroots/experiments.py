@@ -17,11 +17,11 @@ and computes their certificate events, then solves them all in one
 ``aberth_solve_many`` call, which frames every block of every polynomial in
 one pass and runs the small blocks as one stacked iteration, and matches all
 its trials in one ``match_roots_many`` call, which builds their distance
-matrices as one array and settles most of them by a nearest-neighbour
-certificate.  numpy's per-call cost is thus paid once per chunk or per step
-rather than once per trial or block.  Coefficients and roots stay (logmag,
-phase) arrays through all of it; the record is the one place roots become
-XComplex values, for serialization.
+matrices as one array; most trials are settled by their nearest-neighbour
+pairing, with no augmenting path.  numpy's per-call cost is thus paid once
+per chunk or per step rather than once per trial or block.  Coefficients
+and roots stay (logmag, phase) arrays through all of it; the record is the
+one place roots become XComplex values, for serialization.
 
 Every trial is a pure function of (config, degree, trial index): per-trial
 seeds come from a counter-based derivation, and which trials share a chunk
@@ -99,6 +99,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if not self.degrees or any(n < 1 for n in self.degrees):
             raise ValueError("degrees must be a nonempty list of positive integers")
+        if len(set(self.degrees)) != len(self.degrees):
+            raise ValueError("degrees must not repeat")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if not (0.0 < self.epsilon < 1.0):
@@ -244,7 +246,7 @@ def summarize(config: ExperimentConfig, records: list[TrialRecord]) -> dict:
     counted under ``nonconverged``.
     """
     per_degree = []
-    for n in sorted(set(config.degrees)):
+    for n in sorted(config.degrees):
         rows = sorted(
             (r for r in records if r.n == n), key=lambda r: r.trial
         )

@@ -55,25 +55,6 @@ def logsumexp_vec(a: np.ndarray, axis: int = 0) -> np.ndarray:
         return np.where(s > 0.0, safe + np.log(np.maximum(s, _TINY)), -np.inf)
 
 
-def clogsumexp_vec(lm: np.ndarray, ph: np.ndarray, axis: int = 0):
-    """Complex log-sum-exp along an axis.
-
-    Returns (logmag, phase) of sum(exp(lm + i*ph)); an all-zero slice gives
-    logmag = -inf.  Unlike the scalar xadd, cancellation is not detected
-    exactly: opposite terms bottom out at the roundoff floor, roughly
-    max(lm) - 36 nats.
-    """
-    m = np.max(lm, axis=axis)
-    safe = np.where(np.isfinite(m), m, 0.0)
-    w = np.exp(lm - np.expand_dims(safe, axis))
-    re = np.sum(w * np.cos(ph), axis=axis)
-    im = np.sum(w * np.sin(ph), axis=axis)
-    mag = np.hypot(re, im)
-    with np.errstate(divide="ignore"):
-        out_lm = np.where(mag > 0.0, safe + np.log(np.maximum(mag, _TINY)), -np.inf)
-    return out_lm, wrap_phase_vec(np.arctan2(im, re))
-
-
 def relative_distance_matrix(lm_w, ph_w, lm_z, ph_z) -> np.ndarray:
     """D[..., i, j] = |z_j / w_i - 1|; rows index reference values w.
 

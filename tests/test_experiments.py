@@ -139,6 +139,22 @@ def test_config_validation():
         distribution_from_dict({"variant": "no_such_tail"})
 
 
+def test_config_rejects_repeated_degrees(tmp_path, capsys):
+    # a repeated degree would run its trials twice and report the doubled
+    # count in one summary row
+    d = config_to_dict(_config(degrees=(20, 50), trials=5))
+    d["degrees"] = [20, 20]
+    with pytest.raises(ValueError, match="repeat"):
+        config_from_dict(d)
+    cfgfile = tmp_path / "config.json"
+    cfgfile.write_text(json.dumps(d), encoding="utf-8")
+    rc = cli_main(["experiment", "-c", str(cfgfile), "-o", str(tmp_path / "out")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and "repeat" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_load_config(tmp_path):
     cfg = _config()
     path = tmp_path / "config.json"

@@ -17,9 +17,7 @@ from oracles import (
 )
 from heavyroots.matcher import (
     MatchResult,
-    _perfect_matching_under,
     bottleneck_assignment,
-    greedy_assignment,
     match_roots,
     match_roots_many,
 )
@@ -89,13 +87,13 @@ def test_relative_distance_rejects_zero_target():
 # --- assignment kernels ---------------------------------------------------------------
 
 
-def test_greedy_falls_into_trap_bottleneck_escapes():
+def test_augmenting_path_escapes_the_nearest_neighbour_trap():
+    # both rows are nearest to column 0; row 0 keeps it, and row 1 must
+    # reach column 1 through row 0 rather than take the 100 itself
     dist = np.array([[1.0, 2.0], [1.0, 100.0]])
-    _, greedy_worst = greedy_assignment(dist)
-    assert greedy_worst == 100.0
     perm, worst = bottleneck_assignment(dist)
     assert worst == 2.0
-    assert sorted(perm.tolist()) == [0, 1]
+    assert perm.tolist() == [1, 0]
 
 
 def test_bottleneck_matches_dp_oracle_random():
@@ -116,12 +114,19 @@ def test_bottleneck_matches_oracles_with_ties():
         assert worst == brute_bottleneck(dist) == dp_bottleneck(dist)
 
 
-def test_bracketed_search_reproduces_full_search():
-    # the production search lists each row's columns once and searches only
-    # between the row/column-minimum bound and the greedy worst; it must
-    # return the same permutation and value as the plain search over every
-    # distinct distance, on continuous and on heavily tied distances
+def _assert_optimal(dist, perm, worst):
+    """perm is a permutation whose largest used distance is worst."""
+    m = dist.shape[0]
+    assert sorted(perm.tolist()) == list(range(m))
+    assert dist[np.arange(m), perm].max() == worst
+
+
+def test_bottleneck_value_equals_full_search():
+    # the value is the plain search's over every distinct distance, bit for
+    # bit, on continuous, heavily tied and clustered distances, and on
+    # distances where whole rows and scattered entries are inf
     rng = np.random.default_rng(2024)
+    cases = []
     for case in range(3000):
         m = int(rng.integers(1, 16))
         if case % 3 == 0:
@@ -132,15 +137,19 @@ def test_bracketed_search_reproduces_full_search():
             # clustered: a near-diagonal pairing with ties off the diagonal
             dist = rng.integers(0, 3, (m, m)).astype(np.float64)
             dist[np.arange(m), rng.permutation(m)] = rng.random(m) * 0.5
-        want_perm, want = search_bottleneck(dist)
-        _, greedy = greedy_assignment(dist)
-        bound = max(float(dist.min(axis=1).max()), float(dist.min(axis=0).max()))
-        for got_perm, got in (
-            bottleneck_assignment(dist),
-            bottleneck_assignment(dist, bound, greedy),
-        ):
-            assert got == want
-            assert got_perm.tolist() == want_perm.tolist()
+        cases.append(dist)
+    for _ in range(500):
+        m = int(rng.integers(1, 16))
+        dist = rng.random((m, m))
+        dist[rng.random((m, m)) < 0.3] = np.inf
+        dist[rng.random(m) < 0.3] = np.inf
+        cases.append(dist)
+    assert sum(np.isinf(d).all(axis=1).any() for d in cases) > 300
+    for dist in cases:
+        _, want = search_bottleneck(dist)
+        perm, worst = bottleneck_assignment(dist)
+        assert worst == want
+        _assert_optimal(dist, perm, worst)
 
 
 def test_matching_leaves_recursion_limit_alone():
@@ -153,8 +162,9 @@ def test_matching_leaves_recursion_limit_alone():
 
 
 def test_augmenting_paths_deeper_than_recursion_limit():
-    # row i may take column i - 1 or i, and tries i - 1 first, so matching
-    # row i walks an alternating path through all earlier rows
+    # row i may take column i - 1 or i; each row's nearest column is i - 1,
+    # so row 1 starts free and reaches column m - 1 only along an
+    # alternating path through every later row
     m = 150
     dist = np.ones((m, m))
     for i in range(m):
@@ -162,22 +172,32 @@ def test_augmenting_paths_deeper_than_recursion_limit():
     before = sys.getrecursionlimit()
     sys.setrecursionlimit(100)
     try:
-        perm = _perfect_matching_under(dist, 0.0)
+        perm, worst = bottleneck_assignment(dist)
     finally:
         sys.setrecursionlimit(before)
-    assert perm.tolist() == list(range(m))
+    assert perm.tolist() == list(range(m)) and worst == 0.0
     dist[m - 1, m - 1] = 1.0
-    assert _perfect_matching_under(dist, 0.0) is None
+    perm, worst = bottleneck_assignment(dist)
+    assert worst == 1.0
+    _assert_optimal(dist, perm, worst)
 
 
-def test_greedy_never_beats_bottleneck():
-    rng = np.random.default_rng(7)
-    for _ in range(60):
-        m = int(rng.integers(2, 10))
-        dist = rng.uniform(0.0, 1.0, (m, m))
-        _, g = greedy_assignment(dist)
-        _, b = bottleneck_assignment(dist)
-        assert g >= b
+def test_large_slow_tail_matches_reach_the_row_column_bound():
+    # at n=1000 most nearest neighbours collide (seed 7 leaves about 400
+    # rows free, seed 9 about 20), yet each match uses no distance above
+    # the row/column-minimum bound, which no assignment beats
+    n = 1000
+    dist_kind = CoefficientDistribution("slow_tail_magnitude")
+    for seed in (7, 9):
+        c = sample_coefficients(dist_kind, n, seed)
+        rs = aberth_solve(polynomial(c.lm, c.ph))
+        pred = predicted_roots(c)
+        res = match_roots(rs, pred, 0.5, n)
+        dist = relative_distance_matrix(pred.lm, pred.ph, rs.lm, rs.ph)
+        bound = max(dist.min(axis=1).max(), dist.min(axis=0).max())
+        assert np.unique(dist.argmin(axis=1)).size < n
+        assert res.worst_relative_error == bound
+        _assert_optimal(dist, np.array(res.permutation), bound)
 
 
 # --- root matching --------------------------------------------------------------------
@@ -279,19 +299,9 @@ def test_match_validates_inputs():
         match_roots(rs, pred, 0.5, 5)
 
 
-def _greedy_then_search(dist):
-    """The worst error of the greedy pass, or of the bracketed search when
-    the greedy worst exceeds the row/column-minimum bound."""
-    perm, worst = greedy_assignment(dist)
-    bound = max(float(dist.min(axis=1).max()), float(dist.min(axis=0).max()))
-    if worst > bound:
-        perm, worst = bottleneck_assignment(dist, bound, worst)
-    return worst
-
-
 def _two_circle_instances(rng, count):
     """(computed, predicted) pairs with predicted roots on two circles, in
-    the three families of test_bracketed_search_reproduces_full_search:
+    the three families of test_bottleneck_value_equals_full_search:
     continuous positions, positions tied exactly (computed roots repeat
     predicted ones), and clustered (a perturbed pairing plus repeats)."""
     out = []
@@ -328,18 +338,18 @@ def _sampled_double_log_trials(n, seeds):
 
 
 def test_nearest_neighbour_certificate_gives_the_exact_bottleneck():
-    # the worst error is the full search's value exactly on every route, and
-    # holds and degenerate are what the greedy pass and bracketed search
-    # give; the permutation is a valid assignment reaching that worst error;
-    # matching a chunk of trials at once equals matching them one at a time
-    # in every field but the permutation
+    # the worst error is the full search's value exactly, whether the
+    # nearest-neighbour pairing is already a bijection or rows are left to
+    # augment; the permutation is a valid assignment reaching that worst
+    # error; matching a chunk of trials at once equals matching them one at
+    # a time in every field but the permutation
     rng = np.random.default_rng(4242)
     groups = {}
     for rs, pred in _two_circle_instances(rng, 600):
         groups.setdefault(rs.lm.size, []).append((rs, pred))
     for n in (20, 50):
         groups[n] = _sampled_double_log_trials(n, range(500 + n, 550 + n))
-    routes = {True: 0, False: 0}
+    bijective = {True: 0, False: 0}
     degenerate = 0
     for n, trials in groups.items():
         computed = [rs for rs, _ in trials]
@@ -351,8 +361,7 @@ def test_nearest_neighbour_certificate_gives_the_exact_bottleneck():
             else:
                 dist = relative_distance_matrix(pred.lm, pred.ph, rs.lm, rs.ph)
                 _, want = search_bottleneck(dist)
-                assert want == _greedy_then_search(dist)
-                routes[np.unique(dist.argmin(axis=1)).size == n] += 1
+                bijective[np.unique(dist.argmin(axis=1)).size == n] += 1
             for eps, batch in zip((0.05, 0.5), batches):
                 got = batch[t]
                 one = match_roots(rs, pred, eps, n)
@@ -366,5 +375,6 @@ def test_nearest_neighbour_certificate_gives_the_exact_bottleneck():
                 perm = np.array(got.permutation)
                 assert sorted(perm.tolist()) == list(range(n))
                 assert dist[np.arange(n), perm].max() == want
-    # both routes and degenerate trials are exercised
-    assert routes[True] > 150 and routes[False] > 300 and degenerate > 0, routes
+    # both cases and degenerate trials are exercised
+    assert bijective[True] > 150 and bijective[False] > 300, bijective
+    assert degenerate > 0

@@ -8,16 +8,13 @@ import pytest
 from heavyroots.xnum import (
     XZERO,
     from_complex,
-    phase_distance,
     wrap_phase,
-    xadd,
     xcomplex,
     xlogsumexp,
     xreal,
 )
 from heavyroots.xvec import (
     as_arrays,
-    clogsumexp_vec,
     from_arrays,
     logsumexp_vec,
     relative_distance_matrix,
@@ -69,32 +66,6 @@ def test_logsumexp_vec_all_zero_slice_gives_neg_inf():
     out = logsumexp_vec(a, axis=0)
     assert out[0] == -np.inf
     assert np.isfinite(out[1])
-
-
-def test_clogsumexp_vec_matches_scalar_chain():
-    rng = np.random.default_rng(11)
-    lm = rng.uniform(-20.0, 20.0, 5)
-    ph = rng.uniform(-math.pi, math.pi, 5)
-    out_lm, out_ph = clogsumexp_vec(lm[:, None], ph[:, None], axis=0)
-    acc = XZERO
-    for l, p in zip(lm.tolist(), ph.tolist()):
-        acc = xadd(acc, xcomplex(l, p))
-    assert out_lm[0] == pytest.approx(acc.logmag, rel=1e-12)
-    assert phase_distance(float(out_ph[0]), acc.phase) <= 1e-12
-
-
-def test_clogsumexp_vec_cancellation_bottoms_out_near_roundoff():
-    lm = np.array([[2.0], [2.0]])
-    ph = np.array([[0.5], [wrap_phase(0.5 + math.pi)]])
-    out_lm, _ = clogsumexp_vec(lm, ph, axis=0)
-    assert out_lm[0] < 2.0 - 30.0  # opposite terms cancel to the noise floor
-
-
-def test_clogsumexp_vec_all_zero_slice_gives_neg_inf():
-    lm = np.array([[-np.inf], [-np.inf]])
-    ph = np.array([[0.0], [0.0]])
-    out_lm, _ = clogsumexp_vec(lm, ph, axis=0)
-    assert out_lm[0] == -np.inf
 
 
 def test_relative_distance_matrix_matches_scalar():
