@@ -60,8 +60,6 @@ from .roots import (  # noqa: F401 -- bench/selftest.py patches aberth_solve her
     predicted_roots,
 )
 from .sampler import (
-    PHASE_MODELS,
-    VARIANTS,
     CoefficientDistribution,
     CoefficientVector,
     derive_seed,
@@ -105,8 +103,8 @@ class ExperimentConfig:
             raise ValueError("trials must be at least 1")
         if not (0.0 < self.epsilon < 1.0):
             raise ValueError("epsilon must be in (0, 1)")
-        if self.delta is not None and not (self.delta > 0.0):
-            raise ValueError("delta must be positive")
+        if self.delta is not None and not (0.0 < self.delta < math.inf):
+            raise ValueError("delta must be positive and finite")
         if self.kind in ("annulus", "stable_compare") and self.delta is None:
             raise ValueError(f"{self.kind} requires delta")
         if self.kind == "stable_compare":
@@ -354,17 +352,11 @@ def distribution_to_dict(dist: CoefficientDistribution) -> dict:
 
 
 def distribution_from_dict(d: dict) -> CoefficientDistribution:
-    variant = d["variant"]
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown distribution variant {variant!r}")
-    phase_model = d.get("phase_model", "uniform_phase")
-    if phase_model not in PHASE_MODELS:
-        raise ValueError(f"unknown phase model {phase_model!r}")
     return CoefficientDistribution(
-        variant=variant,
+        variant=d["variant"],
         beta=float(d.get("beta", 1.0)),
         cap=float(d.get("cap", 690.0)),
-        phase_model=phase_model,
+        phase_model=d.get("phase_model", "uniform_phase"),
     )
 
 
@@ -384,13 +376,23 @@ def config_to_dict(config: ExperimentConfig, include_output: bool = True) -> dic
     return d
 
 
+def _integer(value, name: str) -> int:
+    """value as an int if it is an int or a float with an integral value;
+    anything else, a bool included, is rejected rather than truncated."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def config_from_dict(d: dict) -> ExperimentConfig:
     return ExperimentConfig(
         kind=d["kind"],
-        degrees=tuple(int(n) for n in d["degrees"]),
-        trials=int(d["trials"]),
+        degrees=tuple(_integer(n, "degrees") for n in d["degrees"]),
+        trials=_integer(d["trials"], "trials"),
         distribution=distribution_from_dict(d["distribution"]),
-        master_seed=int(d["master_seed"]),
+        master_seed=_integer(d["master_seed"], "master_seed"),
         epsilon=float(d.get("epsilon", 0.5)),
         delta=None if d.get("delta") is None else float(d["delta"]),
         alpha=None if d.get("alpha") is None else float(d["alpha"]),

@@ -87,9 +87,7 @@ def _make_phi(p: Polynomial, k: int):
     oj, olm, kf, klm = _phi_data(p, k)
 
     def phi(s: float) -> float:
-        t = olm + oj * s
-        mx = t.max()
-        return (mx + math.log(float(np.sum(np.exp(t - mx))))) - (klm + kf * s)
+        return float(logsumexp_vec(olm + oj * s)) - (klm + kf * s)
 
     def dphi(s: float) -> float:
         t = olm + oj * s

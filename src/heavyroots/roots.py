@@ -40,8 +40,9 @@ and with real coefficients the iteration would keep the iterates symmetric.
 
 The simultaneous update of a root depends only on its own block, so the small
 blocks of many polynomials iterate together as one stacked array, each with
-its own stop rule, and the frames of all the blocks are built in one pass;
-aberth_solve is the one-polynomial case of aberth_solve_many.
+its own stop rule.  The frames of each such iteration group are built in one
+pass, straight into the stacked tables the iteration reads; aberth_solve is
+the one-polynomial case of aberth_solve_many.
 
 Residuals are relative backward errors |p(z)| / sum_j |c_j||z|^j of the whole
 polynomial; a RootSet only reports converged = True when every residual is at
@@ -434,22 +435,8 @@ def _evaluate(
     return acc[0], acc[1], acc[2].real
 
 
-@dataclass(frozen=True, slots=True)
-class _Block:
-    """One block in its own frame u = z * exp(-sigma), ready to iterate."""
-
-    coef: np.ndarray  # frame coefficients, see _frame_coefficients
-    ec: np.ndarray
-    pw: np.ndarray  # power of each column above the lowest kept power
-    u0: np.ndarray  # initial iterates
-    sigma: Fraction
-    charge: float  # roots of radially lower blocks, as a point charge at 0
-    lo_a: float  # iterates are clipped to moduli in [lo_a, hi_a]
-    hi_a: float
-
-
-def _block_frames(parts) -> list[_Block]:
-    """The frames of many blocks, built together.
+def _block_frames(parts):
+    """The frames of a group of blocks that iterate together, built at once.
 
     parts holds per block (js, ph, ys, k, segs, t0): the powers of the terms
     its polynomial keeps in the tables (ascending) and their phases, the
@@ -459,6 +446,14 @@ def _block_frames(parts) -> list[_Block]:
     The exact frame shifts are formed per block; the float work on the terms
     and the initial iterates of all blocks each take one pass over the
     concatenation.
+
+    Returns (coef, ec, pw, u0, charge, lo_a, hi_a, sizes, sigmas): the
+    stacked tables coef (5, cols, blocks) and ec (cols, blocks) of
+    _evaluate, with one column per power pw above a block's lowest kept
+    power that some block keeps; per root, block after block, its initial
+    iterate, the point charge of its block and the moduli [lo_a, hi_a] its
+    iterates are clipped to; per block, its number of roots and its frame
+    center sigma, an exact rational (u = z * exp(-sigma)).
 
     A block of one hull segment (a, b) whose table keeps only the powers a
     and b is a binomial: every other term is negligible, or beyond the float
@@ -509,7 +504,6 @@ def _block_frames(parts) -> list[_Block]:
         np.repeat(alos, sizes),
         np.repeat(ahis, sizes),
     )
-    js = js[keep]
     ends = np.cumsum(keep)[np.cumsum(sizes) - 1]
     starts = np.concatenate([[0], ends[:-1]])
     # a binomial block starts at its roots.  A block keeps every one of its
@@ -521,30 +515,32 @@ def _block_frames(parts) -> list[_Block]:
     pk = phs[keep]
     off[first] = (math.pi + pk[starts[two]] - pk[starts[two] + 1]) / m[first]
     u0 = _initial_iterates(np.array(scale), off, m)
-    rends = np.cumsum(roots).tolist()
+    # a column for every power that some block keeps (no np.unique: its
+    # first call pages in sorting code, 1.7 MiB of resident memory)
+    tb = np.repeat(np.arange(len(parts)), ends - starts)  # block of each term
+    js = js[keep]
+    js -= js[starts][tb]
+    kept = np.zeros(int(js.max()) + 1, dtype=bool)
+    kept[js] = True
+    pw = np.flatnonzero(kept)
+    col = (np.cumsum(kept) - 1)[js]
+    table = np.zeros((5, pw.size, len(parts)))
+    table[:, col, tb] = coef
+    exps = np.full((pw.size, len(parts)), _EXP_FLOOR, dtype=np.int64)
+    exps[col, tb] = ec
     # roots of radially lower blocks sit near 0 in a block's frame; a point
     # charge there makes the update Aberth on the implicitly deflated
     # polynomial (fixed points are unchanged: the correction is zero only
     # where p is)
-    return [
-        _Block(
-            coef[:, a:b],
-            ec[a:b],
-            js[a:b] - js[a],
-            u0[r1 - m : r1],
-            sigma,
-            float(anchor),
-            math.exp(alo),
-            math.exp(ahi),
-        )
-        for a, b, r1, m, sigma, anchor, alo, ahi in zip(
-            starts.tolist(), ends.tolist(), rends, roots, sigmas, anchors, alos, ahis
-        )
-    ]
+    charge = np.repeat(np.array(anchors, dtype=np.float64), roots)
+    lo_a = np.repeat([math.exp(a) for a in alos], roots)
+    hi_a = np.repeat([math.exp(a) for a in ahis], roots)
+    return table, exps, pw, u0, charge, lo_a, hi_a, np.array(roots), sigmas
 
 
-def _iterate(blocks: list[_Block], tol: float, max_iter: int):
-    """Run the blocks' simultaneous iterations together, one step at a time.
+def _iterate(coef, ec, pw, u, charge, lo_a, hi_a, sizes, tol: float, max_iter: int):
+    """Run the simultaneous iterations of the blocks framed by _block_frames
+    together, one step at a time, moving the iterates u in place.
 
     The roots of all blocks sit in one flat array, with a block id and an
     in-block position per root.  Every rule is applied per block: a block
@@ -555,26 +551,9 @@ def _iterate(blocks: list[_Block], tol: float, max_iter: int):
     block.  Returns (iterates, residuals, one settled flag per block), the
     first two in block order.
     """
-    nb = len(blocks)
-    sizes = np.array([b.u0.size for b in blocks])
+    nb = sizes.size
     bid = np.repeat(np.arange(nb), sizes)
     pos = np.arange(bid.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    u = np.concatenate([b.u0 for b in blocks])
-    # a column for every power that some block keeps (no np.unique: its
-    # first call pages in sorting code, 1.7 MiB of resident memory)
-    pws = np.concatenate([b.pw for b in blocks])
-    kept = np.zeros(int(pws.max()) + 1, dtype=bool)
-    kept[pws] = True
-    pw = np.flatnonzero(kept)
-    col = (np.cumsum(kept) - 1)[pws]  # column of each term
-    tb = np.repeat(np.arange(nb), [b.pw.size for b in blocks])  # block of each term
-    coef = np.zeros((5, pw.size, nb))
-    ec = np.full((pw.size, nb), _EXP_FLOOR, dtype=np.int64)
-    coef[:, col, tb] = np.concatenate([b.coef for b in blocks], axis=1)
-    ec[col, tb] = np.concatenate([b.ec for b in blocks])
-    charge = np.array([b.charge for b in blocks])[bid]
-    lo_a = np.array([b.lo_a for b in blocks])[bid]
-    hi_a = np.array([b.hi_a for b in blocks])[bid]
     # roots by (block, position); with one block a view of u itself
     mmax = int(sizes.max())
     if nb == 1:
@@ -725,31 +704,27 @@ def aberth_solve_many(
             parts.append((js, ph, ys, k, segs, t0))
             owner.append(i)
             t0 += len(segs)
-    blocks = _block_frames(parts) if parts else []
-    small = [j for j, b in enumerate(blocks) if b.u0.size <= _BATCH_ROOTS]
-    groups = [[j] for j, b in enumerate(blocks) if b.u0.size > _BATCH_ROOTS]
+    roots = [segs[-1][2] - segs[0][1] for *_, segs, _ in parts]
+    small = [j for j, m in enumerate(roots) if m <= _BATCH_ROOTS]
+    groups = [[j] for j, m in enumerate(roots) if m > _BATCH_ROOTS]
     if small:
         groups.append(small)
-    solved = {}
-    for group in groups:
-        u, resid, settled = _iterate([blocks[j] for j in group], tol, max_iter)
-        start = 0
-        for j, ok in zip(group, settled.tolist()):
-            end = start + blocks[j].u0.size
-            lm, ph = _original_frame(u[start:end], blocks[j].sigma)
-            solved[j] = (lm, ph, resid[start:end], ok)
-            start = end
-
     per_poly = [[] for _ in polys]
-    for j, i in enumerate(owner):
-        per_poly[i].append(solved[j])
+    for group in groups:
+        *frames, sizes, sigmas = _block_frames([parts[j] for j in group])
+        u, resid, settled = _iterate(*frames, sizes, tol, max_iter)
+        start = 0
+        for j, m, sigma, ok in zip(group, sizes.tolist(), sigmas, settled.tolist()):
+            lm, ph = _original_frame(u[start : start + m], sigma)
+            per_poly[owner[j]].append((lm, ph, resid[start : start + m], ok))
+            start += m
     out = []
-    for parts in per_poly:
+    for solved in per_poly:
         rlm, rph, rres = (
-            np.concatenate([np.empty(0)] + [s[c] for s in parts]) for c in range(3)
+            np.concatenate([np.empty(0)] + [s[c] for s in solved]) for c in range(3)
         )
         order = np.lexsort((rph, rlm))
-        converged = all(s[3] for s in parts) and bool(np.all(rres <= _RESIDUAL_OK))
+        converged = all(s[3] for s in solved) and bool(np.all(rres <= _RESIDUAL_OK))
         out.append(RootSet(rlm[order], rph[order], rres[order], converged))
     return out
 

@@ -59,8 +59,8 @@ class CoefficientDistribution:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.phase_model not in PHASE_MODELS:
             raise ValueError(f"unknown phase model {self.phase_model!r}")
-        if not (self.beta > 0.0):
-            raise ValueError("beta must be positive")
+        if not (0.0 < self.beta < math.inf):
+            raise ValueError("beta must be positive and finite")
         if not (0.0 < self.cap <= 700.0):
             raise ValueError("cap must be in (0, 700] to keep logmag finite")
 

@@ -35,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from heavyroots.localization import CertificateEvents, threshold_logmag
-from heavyroots.roots import _DEAD, _GOLDEN, _LN2, _LN2_HI, _LN2_LO, _Block
+from heavyroots.roots import _DEAD, _GOLDEN, _LN2, _LN2_HI, _LN2_LO
 from heavyroots.xnum import (
     EXP_MAX,
     TAU,
@@ -327,8 +327,9 @@ def fraction_frame_shift(lm, sigma: Fraction, anchor: int) -> np.ndarray:
     return shift
 
 
-def block_frame(lm, ph, segs, t0: int) -> _Block:
-    """The frame of the block of hull segments segs, formed on its own.
+def block_frame(lm, ph, segs, t0: int) -> tuple:
+    """The frame of the block of hull segments segs, formed on its own, in
+    the layout of _block_frames for a group of one block.
 
     lm holds -inf for every term left out of the tables.  Every coefficient's
     shift is taken in Fraction arithmetic, the terms out of float reach are
@@ -361,15 +362,17 @@ def block_frame(lm, ph, segs, t0: int) -> _Block:
             off = TAU * (((t0 + t + 1) * _GOLDEN) % 1.0)
         phases = off + TAU * np.arange(m) / m
         circles.append(math.exp(float(r - sigma)) * np.exp(1j * phases))
-    return _Block(
-        np.stack([mc.real, mc.imag, jc.real, jc.imag, np.abs(mc)]),
-        ec.astype(np.int64),
+    m = segs[-1][2] - anchor
+    return (
+        np.stack([mc.real, mc.imag, jc.real, jc.imag, np.abs(mc)])[..., None],
+        ec.astype(np.int64)[:, None],
         js - js[0],
         np.concatenate(circles),
-        sigma,
-        float(anchor),
-        math.exp(alo),
-        math.exp(ahi),
+        np.full(m, float(anchor)),
+        np.full(m, math.exp(alo)),
+        np.full(m, math.exp(ahi)),
+        np.array([m]),
+        [sigma],
     )
 
 

@@ -139,20 +139,70 @@ def test_config_validation():
         distribution_from_dict({"variant": "no_such_tail"})
 
 
+def _experiment_error(tmp_path, capsys, d) -> dict:
+    """The error record of the experiment command on config d, which must
+    fail as config_from_dict does, before any output directory exists."""
+    cfgfile = tmp_path / "config.json"
+    cfgfile.write_text(json.dumps(d), encoding="utf-8")
+    with pytest.raises(ValueError) as direct:
+        config_from_dict(json.loads(cfgfile.read_text(encoding="utf-8")))
+    rc = cli_main(["experiment", "-c", str(cfgfile), "-o", str(tmp_path / "out")])
+    assert rc == 1
+    assert not (tmp_path / "out").exists()
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError", "message": str(direct.value)}
+    return err
+
+
 def test_config_rejects_repeated_degrees(tmp_path, capsys):
     # a repeated degree would run its trials twice and report the doubled
     # count in one summary row
     d = config_to_dict(_config(degrees=(20, 50), trials=5))
     d["degrees"] = [20, 20]
-    with pytest.raises(ValueError, match="repeat"):
-        config_from_dict(d)
-    cfgfile = tmp_path / "config.json"
-    cfgfile.write_text(json.dumps(d), encoding="utf-8")
-    rc = cli_main(["experiment", "-c", str(cfgfile), "-o", str(tmp_path / "out")])
-    assert rc == 1
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "ValueError" and "repeat" in err["message"]
-    assert not (tmp_path / "out").exists()
+    err = _experiment_error(tmp_path, capsys, d)
+    assert "repeat" in err["message"]
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("degrees", [5.9]),
+        ("degrees", [20, True]),
+        ("trials", 2.5),
+        ("trials", True),
+        ("master_seed", 1.7),
+        ("master_seed", "3"),
+    ],
+)
+def test_config_rejects_non_integral_counts(tmp_path, capsys, key, value):
+    # int() would run degrees [5.9] as n = 5, trials 2.5 as 2 and seed 1.7
+    # as 1, and the summary would record them as if asked for
+    d = config_to_dict(_config(degrees=(20, 50), trials=5))
+    d[key] = value
+    err = _experiment_error(tmp_path, capsys, d)
+    assert key in err["message"] and "integer" in err["message"]
+
+
+def test_config_accepts_integral_floats():
+    d = config_to_dict(_config(degrees=(20, 50), trials=5))
+    d.update(degrees=[20.0, 50], trials=5.0, master_seed=7.0)
+    cfg = config_from_dict(d)
+    assert cfg.degrees == (20, 50) and cfg.trials == 5 and cfg.master_seed == 7
+    assert all(type(v) is int for v in (*cfg.degrees, cfg.trials, cfg.master_seed))
+
+
+@pytest.mark.parametrize("field", ["delta", "beta"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_config_rejects_non_finite_delta_and_beta(tmp_path, capsys, field, value):
+    # JSON reads Infinity and NaN; an infinite delta or beta used to pass
+    # validation, run every trial and fail only when writing summary.json
+    d = config_to_dict(_config(degrees=(20,), trials=2))
+    if field == "beta":
+        d["distribution"]["beta"] = value
+    else:
+        d["delta"] = value
+    err = _experiment_error(tmp_path, capsys, d)
+    assert field in err["message"]
 
 
 def test_load_config(tmp_path):

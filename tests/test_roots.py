@@ -1,6 +1,5 @@
 """Unit tests for polynomial construction, hull radii, solving, predictions."""
 
-import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -265,20 +264,40 @@ def test_frame_shift_overflow_saturates():
         _frame_shift([0, 1], ys, k, Fraction(10**400), 0)
 
 
-def _assert_same_block(got, want):
-    for f in dataclasses.fields(want):
-        a, b = getattr(got, f.name), getattr(want, f.name)
+def _assert_same_frames(got, want):
+    assert len(got) == len(want)
+    for i, (a, b) in enumerate(zip(got, want)):
         if isinstance(b, np.ndarray):
-            assert a.dtype == b.dtype and a.shape == b.shape, f.name
-            assert a.tobytes() == b.tobytes(), f.name
+            assert a.dtype == b.dtype and a.shape == b.shape, i
+            assert a.tobytes() == b.tobytes(), i
         else:
-            assert type(a) is type(b) and a == b, f.name
+            assert [type(x) for x in a] == [type(x) for x in b] and a == b, i
+
+
+def _block_of(frames, b):
+    """Block b of a group's frames, in the layout of a group of one block."""
+    coef, ec, pw, u0, charge, lo_a, hi_a, sizes, sigmas = frames
+    cols = ec[:, b] != _EXP_FLOOR
+    assert not coef[:, ~cols, b].any()  # a power the block lacks adds 0
+    r = slice(int(sizes[:b].sum()), int(sizes[: b + 1].sum()))
+    return (
+        coef[:, cols, b : b + 1],
+        ec[cols, b : b + 1],
+        pw[cols],
+        u0[r],
+        charge[r],
+        lo_a[r],
+        hi_a[r],
+        sizes[b : b + 1],
+        sigmas[b : b + 1],
+    )
 
 
 def test_batched_frames_match_block_by_block_frames():
-    # every block of every polynomial framed in one call, against each block
-    # framed on its own from every coefficient; a block whose frame overflows
-    # raises alone and inside a batch
+    # every block of every polynomial framed in one group, and each block
+    # framed alone, against the block framed on its own from every
+    # coefficient; a block whose frame overflows raises alone and inside a
+    # group
     rng = np.random.default_rng(35)
     # two one-circle blocks whose radii differ by 999.5 and 1000.5 nats: the
     # top term lies 799.5 and 800.5 nats below the lower block's anchor term
@@ -298,13 +317,14 @@ def test_batched_frames_match_block_by_block_frames():
             parts.append((kept, ph[kept], ys, k, segs, t0))
             want.append(block_frame(dropped, ph, segs, t0))
             t0 += len(segs)
-    got = _block_frames(parts)
-    assert len(got) == len(want) > 300
-    for g, w in zip(got, want):
-        _assert_same_block(g, w)
+    group = _block_frames(parts)
+    assert len(want) > 300
+    for b, (part, w) in enumerate(zip(parts, want)):
+        _assert_same_frames(_block_of(group, b), w)
+        _assert_same_frames(_block_frames([part]), w)
     # both starts: binomial blocks at their roots, the rest golden-ratio
-    binomial = sum(len(p[4]) == 1 and g.pw.size == 2 for p, g in zip(parts, got))
-    assert 100 < binomial < len(got) - 100
+    binomial = sum(len(p[4]) == 1 and w[2].size == 2 for p, w in zip(parts, want))
+    assert 100 < binomial < len(want) - 100
     # frames beyond the float range: the term of power 1 lies 10^400 nats
     # above (raises) or below (left out) the anchor term
     ys, k = _exact_logmags(np.zeros(2))
@@ -318,9 +338,9 @@ def test_batched_frames_match_block_by_block_frames():
                 with pytest.raises(SaturationError):
                     _block_frames(batch)
         else:
-            (g,) = _block_frames([part])
-            _assert_same_block(g, block_frame(np.zeros(2), ph, part[4], 0))
-            assert g.pw.tolist() == [0]
+            g = _block_frames([part])
+            _assert_same_frames(g, block_frame(np.zeros(2), ph, part[4], 0))
+            assert g[2].tolist() == [0]
 
 
 def _evaluation_inputs():
@@ -382,7 +402,7 @@ def _evaluation_cases():
             js = js[keep]
             u = np.concatenate(
                 [
-                    _block_frames([(kept, ph[kept], ys, k, block, 0)])[0].u0,
+                    _block_frames([(kept, ph[kept], ys, k, block, 0)])[3],
                     np.exp(rng.uniform(alo, ahi, 20) + 1j * rng.uniform(-4, 4, 20)),
                     np.exp([alo, ahi]),
                 ]
@@ -626,6 +646,23 @@ def test_batched_solve_matches_single_solves():
         _assert_same_roots(got, aberth_solve(p))
 
 
+def test_large_block_solves_bitwise_alone_or_among_others():
+    # a block of more than _BATCH_ROOTS roots iterates alone in either call,
+    # so its roots, residuals and settled flag do not move by one bit; with
+    # two steps it has not settled, with the default it has
+    big = _random_poly(np.random.default_rng(12), 100)
+    (block,) = _split_blocks(_polygon_segments(*_exact_logmags(big.lm)))
+    assert block[-1][2] - block[0][1] == 100 > _BATCH_ROOTS
+    others = _batch_inputs()
+    for max_iter, settled in ((2, False), (200, True)):
+        alone = aberth_solve(big, max_iter=max_iter)
+        batch = aberth_solve_many(others[:7] + [big] + others[7:], max_iter=max_iter)
+        among = batch[7]
+        assert alone.converged is among.converged is settled
+        for f in ("lm", "ph", "residuals"):
+            assert getattr(alone, f).tobytes() == getattr(among, f).tobytes(), f
+
+
 def test_unsettled_block_fails_only_its_own_polynomial():
     # the 1-root blocks settle within two iterations; the 50-root block of
     # three circles, which is not a binomial, cannot
@@ -693,13 +730,13 @@ def test_only_a_binomial_block_starts_at_its_roots():
         ys, k = _exact_logmags(lm)
         kept = _kept(lm)
         (segs,) = _split_blocks(_polygon_segments(ys, k))
-        (block,) = _block_frames([(kept, ph[kept], ys, k, segs, 0)])
-        assert block.pw.tolist() == ([0, 4] if binomial else [0, 2, 4])
+        _, _, pw, u0, *_ = _block_frames([(kept, ph[kept], ys, k, segs, 0)])
+        assert pw.tolist() == ([0, 4] if binomial else [0, 2, 4])
         if binomial:  # the roots of c_0 + c_4 u^4
             want = (math.pi + ph[0] - ph[4] + TAU * np.arange(4)) / 4
         else:  # equispaced, offset by a golden-ratio fraction of a turn
             want = TAU * (_GOLDEN + np.arange(4) / 4)
-        assert np.abs(block.u0 - np.exp(1j * want)).max() <= 1e-15
+        assert np.abs(u0 - np.exp(1j * want)).max() <= 1e-15
         p = polynomial(lm, ph)
         assert aberth_solve(p, max_iter=1).converged == binomial
         assert aberth_solve(p).converged
