@@ -354,8 +354,8 @@ def distribution_to_dict(dist: CoefficientDistribution) -> dict:
 def distribution_from_dict(d: dict) -> CoefficientDistribution:
     return CoefficientDistribution(
         variant=d["variant"],
-        beta=float(d.get("beta", 1.0)),
-        cap=float(d.get("cap", 690.0)),
+        beta=_number(d.get("beta", 1.0), "beta"),
+        cap=_number(d.get("cap", 690.0), "cap"),
         phase_model=d.get("phase_model", "uniform_phase"),
     )
 
@@ -386,6 +386,14 @@ def _integer(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _number(value, name: str) -> float:
+    """value as a float if it is an int or a float; anything else, a bool or
+    a numeric string included, is rejected rather than converted."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 def config_from_dict(d: dict) -> ExperimentConfig:
     return ExperimentConfig(
         kind=d["kind"],
@@ -393,9 +401,9 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         trials=_integer(d["trials"], "trials"),
         distribution=distribution_from_dict(d["distribution"]),
         master_seed=_integer(d["master_seed"], "master_seed"),
-        epsilon=float(d.get("epsilon", 0.5)),
-        delta=None if d.get("delta") is None else float(d["delta"]),
-        alpha=None if d.get("alpha") is None else float(d["alpha"]),
+        epsilon=_number(d.get("epsilon", 0.5), "epsilon"),
+        delta=None if d.get("delta") is None else _number(d["delta"], "delta"),
+        alpha=None if d.get("alpha") is None else _number(d["alpha"], "alpha"),
         output_path=d.get("output_path"),
     )
 

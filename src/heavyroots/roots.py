@@ -28,15 +28,19 @@ almost every term, and a table holds only the kept powers.  A root whose last
 relative correction is at most tol is frozen: it still repels the others but
 is neither evaluated nor moved again (the rule MPSolve uses).
 
-Initial iterates sit on the hull circles.  A block of one circle whose table
-keeps only the circle's two end terms a and b is, to within rounding, the
-binomial c_a z^a + c_b z^b; the roots of such a block are known in closed
-form, so they are its initial iterates and it settles at its first evaluation.
-When the hull vertices are {0, tau, n} both of the paper's circles are such
-blocks.  Every other circle starts at equispaced points offset by a
-golden-ratio fraction of a turn, different on each circle: in a block with
-more terms, the roots of a binomial part can be symmetric about the real axis,
-and with real coefficients the iteration would keep the iterates symmetric.
+Initial iterates sit on the hull circles.  At the radius of a circle (a, b)
+its end terms c_a z^a and c_b z^b are equal; when they lead every other term
+its block keeps by at least _BINOMIAL_MARGIN nats there, the polynomial near
+the circle is that binomial up to small terms, and the circle starts at the
+binomial's roots, known in closed form.  A block of one circle whose table
+keeps only its two end terms is the binomial to within rounding and settles
+at its first evaluation; when the hull vertices are {0, tau, n} both of the
+paper's circles are such blocks.  Every other circle starts at equispaced
+points offset by a golden-ratio fraction of a turn, different on each circle:
+the roots of a binomial are symmetric about the real axis when its
+coefficients are real, the iteration keeps real-coefficient iterates
+symmetric, and where other terms come close to the end terms that symmetry
+can hold the iterates away from the roots for many steps.
 
 The simultaneous update of a root depends only on its own block, so the small
 blocks of many polynomials iterate together as one stacked array, each with
@@ -77,7 +81,13 @@ _LN2_LO = 1.90821492927058770002e-10  # is exact for |k| < 2**21
 _CHUNK_ROWS = 64  # powers per evaluation chunk; |uh^i| >= 2**-i stays normal
 _EVAL_ELEMS = 1 << 15  # entries (powers x points) in one evaluation chunk
 _GATHER_ELEMS = 1 << 13  # the same, and row chunk, when points gather by block
-_PAIR_ELEMS = 1 << 17  # entries in one chunk of pairwise root differences
+_PAIR_ELEMS = 1 << 17  # pairwise root differences, or circle x term pairs, per chunk
+# nats by which a circle's end terms must lead every other term of its block
+# for the circle to start at its binomial's roots.  Real coefficients give
+# conjugate-symmetric binomial starts: at a margin of 0 or 1 they cost real
+# quadratics up to 6.7x or 2.35x the evaluations of equispaced starts, and
+# from 2 up no sampled family needs more; 3 keeps a nat of headroom
+_BINOMIAL_MARGIN = 3.0
 _BATCH_ROOTS = 64  # blocks up to this size share one stacked iteration
 
 
@@ -435,6 +445,45 @@ def _evaluate(
     return acc[0], acc[1], acc[2].real
 
 
+def _dominated(shift, jrel, js, first, count, rho, a, b):
+    """Which hull circles start at their binomial's roots, and where the two
+    end terms of each circle sit among the kept terms.
+
+    shift, jrel and js hold per kept term its frame shift, its power above
+    its block's anchor (a float) and its power; per circle, rho is its frame
+    radius, a < b its end powers and [first, first + count) the range of its
+    block's terms.  At the circle, term j lies shift_j + jrel_j rho nats above
+    the anchor term; the circle is dominated when both end terms are kept and
+    every other term of the block lies at least _BINOMIAL_MARGIN nats below
+    both.  Returns (dominated, ia, ib), ia and ib the kept-term index of each
+    circle's end terms (-1 where one is not kept).  One pass over the circle x
+    term pairs of the same block, at most _PAIR_ELEMS pairs at a time (one
+    circle's terms at the least), so memory stays linear in the degree.
+    """
+    dominated = np.zeros(rho.size, dtype=bool)
+    ia = np.empty(rho.size, dtype=np.int64)
+    ib = np.empty(rho.size, dtype=np.int64)
+    reach = np.cumsum(count)
+    c0 = 0
+    while c0 < rho.size:
+        c1 = np.searchsorted(reach, reach[c0] - count[c0] + _PAIR_ELEMS, "right")
+        c = slice(c0, max(c0 + 1, int(c1)))
+        cnt = count[c]
+        seg = np.cumsum(cnt) - cnt  # each circle's first pair
+        pc = np.repeat(np.arange(c.start, c.stop), cnt)  # circle of each pair
+        t = np.arange(cnt.sum()) + np.repeat(first[c] - seg, cnt)  # its term
+        at_a, at_b = js[t] == a[pc], js[t] == b[pc]
+        end = at_a | at_b
+        lev = shift[t] + jrel[t] * rho[pc]
+        lead = np.minimum.reduceat(np.where(end, lev, np.inf), seg)
+        lead -= np.maximum.reduceat(np.where(end, -np.inf, lev), seg)
+        ia[c] = np.maximum.reduceat(np.where(at_a, t, -1), seg)
+        ib[c] = np.maximum.reduceat(np.where(at_b, t, -1), seg)
+        dominated[c] = (ia[c] >= 0) & (ib[c] >= 0) & (lead >= _BINOMIAL_MARGIN)
+        c0 = c.stop
+    return dominated, ia, ib
+
+
 def _block_frames(parts):
     """The frames of a group of blocks that iterate together, built at once.
 
@@ -443,9 +492,9 @@ def _block_frames(parts):
     polynomial's exact log-magnitudes ys and k from _exact_logmags, the
     block's hull segments, and the number of segments of lower blocks of the
     same polynomial, which sets the phase offsets of the initial iterates.
-    The exact frame shifts are formed per block; the float work on the terms
-    and the initial iterates of all blocks each take one pass over the
-    concatenation.
+    The exact frame shifts are formed per block; the float work on the terms,
+    the dominance margins of the circles and the initial iterates of all
+    blocks each take one pass over the concatenation.
 
     Returns (coef, ec, pw, u0, charge, lo_a, hi_a, sizes, sigmas): the
     stacked tables coef (5, cols, blocks) and ec (cols, blocks) of
@@ -455,19 +504,20 @@ def _block_frames(parts):
     iterates are clipped to; per block, its number of roots and its frame
     center sigma, an exact rational (u = z * exp(-sigma)).
 
-    A block of one hull segment (a, b) whose table keeps only the powers a
-    and b is a binomial: every other term is negligible, or beyond the float
-    range at every radius of its frame, so its roots are those of
-    c_a + c_b u^(b-a) to within rounding.  Its initial iterates are those
-    roots: modulus 1 in the frame (sigma is the segment's radius) and phases
-    (pi + ph_a - ph_b + 2 pi j) / (b - a).  Every other circle keeps
-    equispaced points with a golden-ratio phase offset (see the module
-    docstring for why).
+    Each hull circle (r, a, b) starts on its radius rho = r - sigma in the
+    frame.  A circle whose end terms dominate every other term its block
+    keeps by _BINOMIAL_MARGIN nats at that radius (see _dominated) starts at
+    the roots of its binomial c_a u^a + c_b u^b: phases
+    (pi + ph_a - ph_b + 2 pi j) / (b - a).  A block whose table keeps only
+    its one circle's two end terms is that binomial to within rounding, and
+    settles at its first evaluation.  Every other circle keeps equispaced
+    points with a golden-ratio phase offset (see the module docstring for
+    why).
     """
-    shift, js, phs, sizes, nsegs = [], [], [], [], []
+    shift, js, phs, sizes = [], [], [], []
     anchors, sigmas, alos, ahis, roots = [], [], [], [], []
-    scale, off, m = [], [], []
-    for jb, ph, ys, k, segs, t0 in parts:
+    scale, rho, off, pa, pb, owner = [], [], [], [], [], []
+    for i, (jb, ph, ys, k, segs, t0) in enumerate(parts):
         radii = [s[0] for s in segs]
         # The frame center is an exact rational.  A float midrange at scale
         # 1e20+ carries an absolute rounding error of whole nats, which
@@ -484,41 +534,40 @@ def _block_frames(parts):
         js += jb
         phs.append(ph)
         sizes.append(len(jb))
-        nsegs.append(len(segs))
         anchors.append(anchor)
         sigmas.append(sigma)
         alos.append(max(float(min(radii) - sigma) - 100.0, -600.0))
         ahis.append(min(float(max(radii) - sigma) + 100.0, 600.0))
         for t, (r, a, b) in enumerate(segs):
-            scale.append(math.exp(float(r - sigma)))
+            rho.append(float(r - sigma))
+            scale.append(math.exp(rho[-1]))
             off.append(TAU * (((t0 + t + 1) * _GOLDEN) % 1.0))
-            m.append(b - a)
+            pa.append(a)
+            pb.append(b)
+            owner.append(i)
         roots.append(segs[-1][2] - anchor)
+    shift = np.array(shift)
     js = np.array(js, dtype=np.int64)
+    jrel = js - np.repeat(np.array(anchors, dtype=np.float64), sizes)
     phs = np.concatenate(phs)
     keep, coef, ec = _frame_coefficients(
-        np.array(shift),
-        js,
-        js - np.repeat(np.array(anchors, dtype=np.float64), sizes),
-        phs,
-        np.repeat(alos, sizes),
-        np.repeat(ahis, sizes),
+        shift, js, jrel, phs, np.repeat(alos, sizes), np.repeat(ahis, sizes)
     )
     ends = np.cumsum(keep)[np.cumsum(sizes) - 1]
     starts = np.concatenate([[0], ends[:-1]])
-    # a binomial block starts at its roots.  A block keeps every one of its
-    # hull vertices (each is the largest term at its own radius), so two
-    # kept terms are the ends a < b of its one segment
-    two = ends - starts == 2
-    first = (np.cumsum(nsegs) - nsegs)[two]  # the block's one circle
-    off, m = np.array(off), np.array(m)
+    js = js[keep]
     pk = phs[keep]
-    off[first] = (math.pi + pk[starts[two]] - pk[starts[two] + 1]) / m[first]
+    pa, pb, owner = np.array(pa), np.array(pb), np.array(owner)
+    first, count = starts[owner], (ends - starts)[owner]
+    dominated, ia, ib = _dominated(
+        shift[keep], jrel[keep], js, first, count, np.array(rho), pa, pb
+    )
+    m = pb - pa
+    off = np.where(dominated, (math.pi + pk[ia] - pk[ib]) / m, off)
     u0 = _initial_iterates(np.array(scale), off, m)
     # a column for every power that some block keeps (no np.unique: its
     # first call pages in sorting code, 1.7 MiB of resident memory)
     tb = np.repeat(np.arange(len(parts)), ends - starts)  # block of each term
-    js = js[keep]
     js -= js[starts][tb]
     kept = np.zeros(int(js.max()) + 1, dtype=bool)
     kept[js] = True

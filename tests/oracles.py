@@ -16,9 +16,10 @@ exact permutations the production matcher must reproduce.
 The block-frame oracles are slower, independent formulations of the solver's
 frame arithmetic: the Newton-polygon hull, each term's depth below it and
 the frame shift in Fraction arithmetic, a dense log-domain evaluation that
-builds (n+1) x m arrays of term logs and phases, residuals of roots over
-every coefficient with term logs formed exactly, and a block's whole frame
-formed on its own, one coefficient and one circle at a time.
+builds (n+1) x m arrays of term logs and phases in double-double arithmetic,
+residuals of roots over every coefficient with term logs formed exactly, and
+a block's whole frame, its circles' starts included, formed on its own, one
+coefficient and one circle at a time.
 
 The scalar-chain oracles compute, one XComplex or XReal at a time, what the
 library computes on (logmag, phase) arrays: the relative distance of two
@@ -33,9 +34,10 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from heavyroots.localization import CertificateEvents, threshold_logmag
-from heavyroots.roots import _DEAD, _GOLDEN, _LN2, _LN2_HI, _LN2_LO
+from heavyroots.roots import _BINOMIAL_MARGIN, _DEAD, _GOLDEN, _LN2, _LN2_HI, _LN2_LO
 from heavyroots.xnum import (
     EXP_MAX,
     TAU,
@@ -327,17 +329,11 @@ def fraction_frame_shift(lm, sigma: Fraction, anchor: int) -> np.ndarray:
     return shift
 
 
-def block_frame(lm, ph, segs, t0: int) -> tuple:
-    """The frame of the block of hull segments segs, formed on its own, in
-    the layout of _block_frames for a group of one block.
-
-    lm holds -inf for every term left out of the tables.  Every coefficient's
-    shift is taken in Fraction arithmetic, the terms out of float reach are
-    dropped for this block alone, and the initial iterates are laid out one
-    circle at a time; t0 counts the segments of lower blocks.  A circle that
-    is the whole block and whose only terms left are its two ends starts at
-    the roots of that binomial.
-    """
+def _block_terms(lm, segs) -> tuple:
+    """(sigma, alo, ahi, anchor, shift, js) of the block of hull segments segs
+    framed on its own: its frame center and window, its anchor power, every
+    coefficient's shift in Fraction arithmetic, and the powers within float
+    reach of the anchor term somewhere in the window."""
     radii = [r for r, _, _ in segs]
     sigma = (min(radii) + max(radii)) / 2
     alo = max(float(min(radii) - sigma) - 100.0, -600.0)
@@ -348,15 +344,56 @@ def block_frame(lm, ph, segs, t0: int) -> tuple:
         raise SaturationError("coefficient magnitudes overflow the block frame")
     jrel = np.arange(shift.size) - float(anchor)
     js = np.flatnonzero(shift + np.maximum(jrel * alo, jrel * ahi) >= -_DEAD)
+    return sigma, alo, ahi, anchor, shift, js
+
+
+def dominated_circles(lm, segs) -> list[bool]:
+    """Per hull circle (r, a, b) of the block segs, whether it starts at its
+    binomial's roots, decided one circle and one term at a time.
+
+    lm holds -inf for every term left out of the tables.  At the circle's
+    frame radius rho = r - sigma, term j lies shift_j + (j - anchor) rho nats
+    above the anchor term; the circle is dominated when a and b are both
+    kept and every other kept term lies at least _BINOMIAL_MARGIN nats below
+    both.
+    """
+    sigma, _, _, anchor, shift, js = _block_terms(lm, segs)
+    out = []
+    for r, a, b in segs:
+        rho = float(r - sigma)
+        level = {j: float(shift[j]) + (j - float(anchor)) * rho for j in js.tolist()}
+        others = [v for j, v in level.items() if j not in (a, b)]
+        out.append(
+            a in level
+            and b in level
+            and min(level[a], level[b]) - max(others, default=-math.inf)
+            >= _BINOMIAL_MARGIN
+        )
+    return out
+
+
+def block_frame(lm, ph, segs, t0: int) -> tuple:
+    """The frame of the block of hull segments segs, formed on its own, in
+    the layout of _block_frames for a group of one block.
+
+    lm holds -inf for every term left out of the tables.  Every coefficient's
+    shift is taken in Fraction arithmetic, the terms out of float reach are
+    dropped for this block alone, and the initial iterates are laid out one
+    circle at a time; t0 counts the segments of lower blocks.  A circle that
+    dominated_circles marks starts at the roots of its binomial, every other
+    circle at golden-ratio-offset equispaced points.
+    """
+    sigma, alo, ahi, anchor, shift, js = _block_terms(lm, segs)
+    dominated = dominated_circles(lm, segs)
     shift = shift[js]
     ec = np.floor(shift / _LN2)
     rem = (shift - ec * _LN2_HI) - ec * _LN2_LO
     mc = np.exp(rem) * np.exp(1j * ph[js])
     jc = js * mc
     circles = []
-    for t, (r, j1, j2) in enumerate(segs):
+    for t, ((r, j1, j2), binomial) in enumerate(zip(segs, dominated)):
         m = j2 - j1
-        if len(segs) == 1 and js.tolist() == [j1, j2]:
+        if binomial:
             off = (math.pi + ph[j1] - ph[j2]) / m
         else:
             off = TAU * (((t0 + t + 1) * _GOLDEN) % 1.0)
@@ -376,21 +413,45 @@ def block_frame(lm, ph, segs, t0: int) -> tuple:
     )
 
 
+def _two_product(j, x):
+    """(p, e) with p + e == j * x exactly, for integer-valued j < 2**26:
+    Veltkamp splits x into two halves whose products with j are exact."""
+    c = 134217729.0 * x  # 2**27 + 1
+    xh = c - (c - x)
+    p = j * x
+    return p, (j * xh - p) + j * (x - xh)
+
+
 def dense_frame_sums(shift, ph, u):
     """(p(u), u p'(u), sum_j |c_j||u|^j) for c_j = e^(shift_j + i ph_j).
 
     All three are divided by one positive factor per point, the largest term
     modulus.  Every term is formed from its logarithm and phase, as an
-    (n+1) x m array.
+    (n+1) x m array.  Float products j log|u| and j arg u would be off by j
+    ulps of log|u| and arg u, 1e-12 at j = 500 and log|u| = 18, more than the
+    kernel under test; so log|u| and arg u are taken to 40 digits (mpmath)
+    and split into two floats each, and the products and the sum with
+    shift_j are carried in double-double arithmetic.  Each term is then
+    accurate to a few roundings.
     """
-    jpow = np.arange(len(shift), dtype=np.float64)
-    alm = np.log(np.abs(u))
-    aph = np.angle(u)
-    tl = np.asarray(shift)[:, None] + jpow[:, None] * alm[None, :]
-    tp = np.asarray(ph)[:, None] + jpow[:, None] * aph[None, :]
-    w = np.exp(tl - np.max(tl, axis=0)[None, :])
-    terms = w * (np.cos(tp) + 1j * np.sin(tp))
-    return terms.sum(axis=0), (jpow[:, None] * terms).sum(axis=0), w.sum(axis=0)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        exact = [x for z in u.tolist() for x in (mpmath.log(abs(z)), mpmath.arg(z))]
+        halves = [(float(x), float(x - float(x))) for x in exact]
+    lh, ll, ah, al = np.array(halves).reshape(-1, 4).T
+    fin = np.isfinite(shift)  # a zero term adds 0
+    jpow = np.flatnonzero(fin).astype(np.float64)[:, None]
+    sh = np.asarray(shift)[fin][:, None]
+    # j log|u| == p + e + j ll to rounding, and s + tail == sh + j log|u|
+    p, e = _two_product(jpow, lh)
+    s = sh + p
+    back = s - sh
+    tail = ((sh - (s - back)) + (p - back)) + e + jpow * ll
+    w = np.exp((s - s.max(axis=0)) + tail)
+    p, e = _two_product(jpow, ah)  # j arg u == p + e + j al to rounding
+    turn = np.exp(1j * np.asarray(ph)[fin][:, None]) * np.exp(1j * p)
+    terms = w * turn * np.exp(1j * (e + jpow * al))
+    return terms.sum(axis=0), (jpow * terms).sum(axis=0), w.sum(axis=0)
 
 
 def fraction_hull_depths(lm) -> list[Fraction | None]:

@@ -183,6 +183,44 @@ def test_config_rejects_non_integral_counts(tmp_path, capsys, key, value):
     assert key in err["message"] and "integer" in err["message"]
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("epsilon", "0.25"),
+        ("epsilon", True),
+        ("delta", "1.5"),
+        ("delta", False),
+        ("alpha", True),
+        ("alpha", "2"),
+        ("beta", "2"),
+        ("beta", True),
+        ("cap", True),
+        ("cap", "100"),
+    ],
+)
+def test_config_rejects_non_numeric_parameters(tmp_path, capsys, key, value):
+    # float() would run alpha true as 1.0 and delta "1.5" as 1.5, and a true
+    # cap as double-log with a 1-nat cap, and the summary would record them
+    # as if asked for
+    d = config_to_dict(_config(degrees=(20, 50), trials=5))
+    if key in ("beta", "cap"):
+        d["distribution"][key] = value
+    else:
+        d[key] = value
+    err = _experiment_error(tmp_path, capsys, d)
+    assert key in err["message"] and "number" in err["message"]
+
+
+def test_config_accepts_integers_for_real_parameters():
+    d = config_to_dict(_config(degrees=(20,), trials=2))
+    d.update(delta=2, alpha=2)
+    d["distribution"].update(beta=2, cap=100)
+    cfg = config_from_dict(d)
+    got = (cfg.delta, cfg.alpha, cfg.distribution.beta, cfg.distribution.cap)
+    assert got == (2.0, 2.0, 2.0, 100.0)
+    assert all(type(v) is float for v in got)
+
+
 def test_config_accepts_integral_floats():
     d = config_to_dict(_config(degrees=(20, 50), trials=5))
     d.update(degrees=[20.0, 50], trials=5.0, master_seed=7.0)

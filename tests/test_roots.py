@@ -30,6 +30,7 @@ from heavyroots.roots import (
     trim,
 )
 from heavyroots.sampler import (
+    PHASE_MODELS,
     VARIANTS,
     CoefficientDistribution,
     CoefficientVector,
@@ -52,6 +53,7 @@ from oracles import (
     block_frame,
     cubic_roots,
     dense_frame_sums,
+    dominated_circles,
     fraction_frame_shift,
     fraction_hull_depths,
     fraction_polygon_segments,
@@ -304,9 +306,12 @@ def test_batched_frames_match_block_by_block_frames():
     # at the edge of its frame window, just inside and just outside the
     # _DEAD cut
     lms = _hull_inputs() + [np.array([0.0, 0.0, -r]) for r in (999.5, 1000.5)]
+    # one block of 400 circles with every term on the hull: 400 x 401
+    # circle x term pairs take more than one chunk of margins
+    lms.append(-0.5 * np.arange(401.0) ** 2)
     inputs = [(lm, rng.uniform(-math.pi, math.pi, lm.size)) for lm in lms]
     inputs += _evaluation_inputs()
-    parts, want = [], []
+    parts, want, starts = [], [], []
     for lm, ph in inputs:
         ys, k = _exact_logmags(lm)
         kept = _kept(lm)
@@ -316,15 +321,19 @@ def test_batched_frames_match_block_by_block_frames():
         for segs in _split_blocks(_polygon_segments(ys, k)):
             parts.append((kept, ph[kept], ys, k, segs, t0))
             want.append(block_frame(dropped, ph, segs, t0))
+            if len(segs) > 1:
+                starts += dominated_circles(dropped, segs)
             t0 += len(segs)
     group = _block_frames(parts)
     assert len(want) > 300
     for b, (part, w) in enumerate(zip(parts, want)):
         _assert_same_frames(_block_of(group, b), w)
         _assert_same_frames(_block_frames([part]), w)
-    # both starts: binomial blocks at their roots, the rest golden-ratio
+    # both starts: binomial blocks at their roots, the rest golden-ratio;
+    # inside blocks of several circles, both kinds of circle
     binomial = sum(len(p[4]) == 1 and w[2].size == 2 for p, w in zip(parts, want))
     assert 100 < binomial < len(want) - 100
+    assert 10 < sum(starts) < len(starts) - 10
     # frames beyond the float range: the term of power 1 lies 10^400 nats
     # above (raises) or below (left out) the anchor term
     ys, k = _exact_logmags(np.zeros(2))
@@ -720,26 +729,66 @@ def test_two_circle_draws_give_the_predicted_roots():
     assert checked >= 60
 
 
-def test_only_a_binomial_block_starts_at_its_roots():
+def test_a_circle_starts_at_its_binomial_roots_when_dominated():
     # one circle of 4 roots; the terms of powers 1 and 3 lie 100 nats below
-    # the hull and are left out, and the term of power 2 lies exactly 64
-    # nats below it (kept) or 64.25 nats (left out)
+    # the hull and are left out.  The term of power 2 lies exactly 64 nats
+    # below it (kept) or 64.25 nats (left out), both far beyond the margin,
+    # or just at it (3 nats) or just inside it (3 - 2^-10 nats)
     ph = np.array([0.3, 0.0, math.pi, 0.0, -1.2])
-    for depth, binomial in ((64.0, False), (64.25, True)):
+    cases = ((64.0, True, True), (64.25, False, True))
+    cases += ((3.0, True, True), (3.0 - 2.0**-10, True, False))
+    for depth, kept2, binomial in cases:
         lm = np.array([0.0, -100.0, -depth, -100.0, 0.0])
         ys, k = _exact_logmags(lm)
         kept = _kept(lm)
         (segs,) = _split_blocks(_polygon_segments(ys, k))
         _, _, pw, u0, *_ = _block_frames([(kept, ph[kept], ys, k, segs, 0)])
-        assert pw.tolist() == ([0, 4] if binomial else [0, 2, 4])
+        assert pw.tolist() == ([0, 2, 4] if kept2 else [0, 4])
         if binomial:  # the roots of c_0 + c_4 u^4
             want = (math.pi + ph[0] - ph[4] + TAU * np.arange(4)) / 4
         else:  # equispaced, offset by a golden-ratio fraction of a turn
             want = TAU * (_GOLDEN + np.arange(4) / 4)
         assert np.abs(u0 - np.exp(1j * want)).max() <= 1e-15
         p = polynomial(lm, ph)
-        assert aberth_solve(p, max_iter=1).converged == binomial
+        # 64 nats down, the binomial's roots are the roots to rounding
+        assert aberth_solve(p, max_iter=1).converged == (depth >= 64)
         assert aberth_solve(p).converged
+
+
+def test_dominated_circles_of_one_block_settle_at_their_first_evaluation():
+    # one block of three circles 30 nats apart, with 3, 2 and 4 roots; every
+    # term inside a circle lies 40 nats below the hull and is kept.  At each
+    # circle's radius its ends lead every other term by 40 nats (the nearest
+    # other vertex lies 60 nats down), so every circle starts at its
+    # binomial's roots, which are the roots to within e^-40; equispaced
+    # starts need more than one step
+    rng = np.random.default_rng(41)
+    radii = np.repeat([-30.0, 0.0, 30.0], [3, 2, 4])
+    lm = np.concatenate([[0.0], -np.cumsum(radii)])
+    lm[[1, 2, 4, 6, 7, 8]] -= 40.0
+    ys, k = _exact_logmags(lm)
+    (block,) = _split_blocks(_polygon_segments(ys, k))
+    assert len(block) == 3 and _kept(lm) == list(range(10))
+    real = np.where(rng.random(10) < 0.5, 0.0, math.pi)
+    for ph in (rng.uniform(-math.pi, math.pi, 10), real):
+        rs = aberth_solve(polynomial(lm, ph), max_iter=1)
+        assert rs.converged and rs.residuals.max() <= 1e-11
+
+
+def test_every_sampled_family_converges_at_the_default_max_iter():
+    # small degrees, where the choice between binomial and golden-ratio
+    # starts matters most: real coefficients give conjugate-symmetric
+    # binomial starts
+    for variant in VARIANTS:
+        for phases in PHASE_MODELS:
+            dist = CoefficientDistribution(variant, phase_model=phases)
+            polys = [
+                polynomial(c.lm, c.ph)
+                for n in (2, 3, 4, 5, 8, 13, 30)
+                for c in (sample_coefficients(dist, n, seed) for seed in range(10))
+            ]
+            for rs in aberth_solve_many(polys):
+                assert rs.converged, (variant, phases)
 
 
 def test_scaling_all_coefficients_leaves_roots_in_place():
