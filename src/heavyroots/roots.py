@@ -85,8 +85,10 @@ _PAIR_ELEMS = 1 << 17  # pairwise root differences, or circle x term pairs, per 
 # nats by which a circle's end terms must lead every other term of its block
 # for the circle to start at its binomial's roots.  Real coefficients give
 # conjugate-symmetric binomial starts: at a margin of 0 or 1 they cost real
-# quadratics up to 6.7x or 2.35x the evaluations of equispaced starts, and
-# from 2 up no sampled family needs more; 3 keeps a nat of headroom
+# quadratics up to 6.7x or 2.35x the evaluations of equispaced starts.  At 2,
+# 3 and 4 the worst sampled family needs 1.0009x, 1.0008x and 1.0029x, the
+# noise of one moved start in a large undominated circle; 3 keeps a nat of
+# headroom
 _BINOMIAL_MARGIN = 3.0
 _BATCH_ROOTS = 64  # blocks up to this size share one stacked iteration
 
@@ -455,10 +457,14 @@ def _dominated(shift, jrel, js, first, count, rho, a, b):
     block's terms.  At the circle, term j lies shift_j + jrel_j rho nats above
     the anchor term; the circle is dominated when both end terms are kept and
     every other term of the block lies at least _BINOMIAL_MARGIN nats below
-    both.  Returns (dominated, ia, ib), ia and ib the kept-term index of each
-    circle's end terms (-1 where one is not kept).  One pass over the circle x
-    term pairs of the same block, at most _PAIR_ELEMS pairs at a time (one
-    circle's terms at the least), so memory stays linear in the degree.
+    both.  The end terms of a hull circle lead its block at its radius, so
+    they are kept; only a segment that is not on the hull, such as a frame
+    10^400 nats below its coefficients, can lose one, and it then keeps the
+    golden-ratio start.  Returns (dominated, ia, ib), ia and ib the kept-term
+    index of each circle's end terms (-1 where one is not kept).  One pass
+    over the circle x term pairs of the same block, at most _PAIR_ELEMS pairs
+    at a time (one circle's terms at the least), so memory stays linear in
+    the degree.
     """
     dominated = np.zeros(rho.size, dtype=bool)
     ia = np.empty(rho.size, dtype=np.int64)

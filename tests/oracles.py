@@ -31,10 +31,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from heavyroots.localization import CertificateEvents, threshold_logmag
 from heavyroots.roots import _BINOMIAL_MARGIN, _DEAD, _GOLDEN, _LN2, _LN2_HI, _LN2_LO
@@ -422,6 +422,35 @@ def _two_product(j, x):
     return p, (j * xh - p) + j * (x - xh)
 
 
+def _cos_sin(a: Decimal) -> tuple[Decimal, Decimal]:
+    """cos a and sin a, |a| <= pi, from the Taylor series of e^(ia) in the
+    current Decimal context."""
+    cs = [Decimal(0), Decimal(0)]
+    t, k = Decimal(1), 0
+    while abs(t) > Decimal("1e-60"):
+        cs[k % 2] += -t if k % 4 >= 2 else t
+        k += 1
+        t = t * a / k
+    return cs[0], cs[1]
+
+
+def _log_arg(z: complex) -> tuple[float, float, float, float]:
+    """(lh, ll, ah, al) with lh + ll == log|z| and ah + al == arg z to about
+    40 digits, for z != 0.  log|z| is half the Decimal logarithm of the exact
+    x^2 + y^2.  arg z is atan2's float ah plus atan t, where z e^(-i ah) has
+    argument atan t; |t| is about an ulp of ah, so atan t == t far below
+    rounding."""
+    x, y = Decimal(z.real), Decimal(z.imag)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        log = (x * x + y * y).ln() / 2
+        ah = math.atan2(z.imag, z.real)
+        c, s = _cos_sin(Decimal(ah))
+        t = (y * c - x * s) / (x * c + y * s)
+        lh = float(log)
+        return lh, float(log - Decimal(lh)), ah, float(t)
+
+
 def dense_frame_sums(shift, ph, u):
     """(p(u), u p'(u), sum_j |c_j||u|^j) for c_j = e^(shift_j + i ph_j).
 
@@ -429,16 +458,12 @@ def dense_frame_sums(shift, ph, u):
     modulus.  Every term is formed from its logarithm and phase, as an
     (n+1) x m array.  Float products j log|u| and j arg u would be off by j
     ulps of log|u| and arg u, 1e-12 at j = 500 and log|u| = 18, more than the
-    kernel under test; so log|u| and arg u are taken to 40 digits (mpmath)
+    kernel under test; so log|u| and arg u are taken to 40 digits (_log_arg)
     and split into two floats each, and the products and the sum with
     shift_j are carried in double-double arithmetic.  Each term is then
     accurate to a few roundings.
     """
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(40):
-        exact = [x for z in u.tolist() for x in (mpmath.log(abs(z)), mpmath.arg(z))]
-        halves = [(float(x), float(x - float(x))) for x in exact]
-    lh, ll, ah, al = np.array(halves).reshape(-1, 4).T
+    lh, ll, ah, al = np.array([_log_arg(z) for z in u.tolist()]).reshape(-1, 4).T
     fin = np.isfinite(shift)  # a zero term adds 0
     jpow = np.flatnonzero(fin).astype(np.float64)[:, None]
     sh = np.asarray(shift)[fin][:, None]
